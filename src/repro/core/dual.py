@@ -236,7 +236,7 @@ class _DualRunner:
             (i,), (j,) = group.ids_a, group.ids_b
             self.sink.write_link_raw(i, j)
             return
-        self.sink.write_group_pair(sorted(group.ids_a), sorted(group.ids_b))
+        self.sink.write_group_pair(group.ids_a, group.ids_b)
 
     def flush(self) -> None:
         while self._window:

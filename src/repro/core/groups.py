@@ -331,7 +331,7 @@ class GroupBuffer:
             i, j = group.ids
             self.sink.write_link(i, j)
         elif len(group.ids) > 2:
-            self.sink.write_group(sorted(group.ids))
+            self.sink.write_group(group.ids)
 
     def flush(self) -> None:
         """Write every group still in the window (end of the join)."""

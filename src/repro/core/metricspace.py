@@ -202,7 +202,7 @@ class BallGroupBuffer:
             i, j = group.ids
             self.sink.write_link(i, j)
         elif len(group.ids) > 2:
-            self.sink.write_group(sorted(group.ids))
+            self.sink.write_group(group.ids)
 
     def flush(self) -> None:
         while self._window:

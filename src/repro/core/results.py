@@ -102,7 +102,7 @@ class JoinSink:
         self.stats.bytes_written += self._link_bytes
 
     def write_group(self, ids: Sequence[int]) -> None:
-        ids = sorted(int(i) for i in ids)
+        ids = sorted(map(int, ids))
         if len(ids) < 2:
             return
         if self.timed:
@@ -116,8 +116,8 @@ class JoinSink:
         self.stats.bytes_written += line_bytes(len(ids), self.id_width)
 
     def write_group_pair(self, ids_a: Sequence[int], ids_b: Sequence[int]) -> None:
-        ids_a = tuple(sorted(int(i) for i in ids_a))
-        ids_b = tuple(sorted(int(i) for i in ids_b))
+        ids_a = tuple(sorted(map(int, ids_a)))
+        ids_b = tuple(sorted(map(int, ids_b)))
         if not ids_a or not ids_b:
             return
         if self.timed:
@@ -261,7 +261,7 @@ class TextSink(JoinSink):
         lo = np.minimum(ids_i, ids_j)
         hi = np.maximum(ids_i, ids_j)
         start = time.perf_counter()
-        self._writer.write_links(lo.tolist(), hi.tolist())
+        self._writer.write_links(lo, hi)
         self.stats.write_time += time.perf_counter() - start
         k = len(lo)
         self.stats.links_emitted += k

@@ -10,12 +10,22 @@ Output size — the paper's space metric — is therefore exactly
 zero-padded width plus one separator byte (space between ids, newline at
 the end of the line).  :func:`line_bytes` encodes that arithmetic so sinks
 can account bytes without materialising text.
+
+Encoding is batched: a link batch becomes one ``uint8`` character matrix
+filled by NumPy (:func:`_encode_links`), and an id line is one
+``%``-format string applied in a single call.  ``"%0Nd" % i`` renders
+exactly like ``f"{i:0Nd}"`` — a negative id or one wider than the field
+widens the line rather than being truncated — so the bytes never depend
+on which path produced them.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Sequence, TextIO, Union
+from functools import lru_cache
+from typing import Sequence, TextIO, Union
+
+import numpy as np
 
 __all__ = ["FixedWidthWriter", "line_bytes", "read_output"]
 
@@ -34,6 +44,65 @@ def line_bytes(n_ids: int, width: int) -> int:
 def width_for(n_points: int) -> int:
     """Zero-padding width able to represent ids ``0 .. n_points - 1``."""
     return max(1, len(str(max(0, n_points - 1))))
+
+
+#: Lines of at most this many ids reuse a cached format string; longer
+#: group lines build theirs per call, which costs no more than applying it
+#: and keeps the cache from growing with every distinct large group size.
+_CACHED_FORMAT_IDS = 64
+
+
+def _build_ids_format(n_ids: int, width: int, end: str) -> str:
+    return " ".join([f"%0{width}d"] * n_ids) + end
+
+
+_cached_ids_format = lru_cache(maxsize=256)(_build_ids_format)
+
+
+def _ids_format(n_ids: int, width: int, end: str = "\n") -> str:
+    """``%``-format string for one line of ``n_ids`` zero-padded ids."""
+    if n_ids <= _CACHED_FORMAT_IDS:
+        return _cached_ids_format(n_ids, width, end)
+    return _build_ids_format(n_ids, width, end)
+
+
+#: Widest field the NumPy encoder handles: ids below ``10**19`` fit a uint64.
+_MAX_VECTOR_WIDTH = 19
+
+
+def _encode_links(ids_i, ids_j, width: int) -> str:
+    """The text of the link lines ``i j`` for the paired ids, zero-padded.
+
+    In-range integer ids (``0 <= id < 10**width``) are encoded as one
+    ``(k, 2, width + 1)`` byte array — per line, two fields of ``width``
+    digits plus a separator (space, then newline) — filled one digit
+    column at a time by a vectorised divmod.  Any other batch (a negative
+    or too-wide id, a non-integer dtype) is formatted line by line, which
+    widens the field exactly as the scalar path does.
+    """
+    arr_i = np.asarray(ids_i)
+    arr_j = np.asarray(ids_j)
+    k = len(arr_i)
+    if k == 0:
+        return ""
+    if (
+        width > _MAX_VECTOR_WIDTH
+        or arr_i.dtype.kind not in "iu"
+        or arr_j.dtype.kind not in "iu"
+        or min(int(arr_i.min()), int(arr_j.min())) < 0
+        or max(int(arr_i.max()), int(arr_j.max())) >= 10**width
+    ):
+        fmt = _ids_format(2, width)
+        return "".join([fmt % (int(i), int(j)) for i, j in zip(ids_i, ids_j)])
+    rest = np.stack([arr_i.astype(np.uint64), arr_j.astype(np.uint64)], axis=1)
+    out = np.empty((k, 2, width + 1), dtype=np.uint8)
+    for col in range(width - 1, -1, -1):
+        rest, digit = np.divmod(rest, 10)
+        out[:, :, col] = digit
+    out[:, :, :width] += ord("0")
+    out[:, 0, width] = ord(" ")
+    out[:, 1, width] = ord("\n")
+    return out.tobytes().decode("ascii")
 
 
 class FixedWidthWriter:
@@ -78,22 +147,15 @@ class FixedWidthWriter:
             self._file = target
             self._owns_file = False
 
-    def _format_ids(self, ids: Iterable[int]) -> str:
-        return " ".join(f"{int(i):0{self.width}d}" for i in ids)
-
     def write_link(self, i: int, j: int) -> None:
         """One link line: two ids."""
-        line = self._format_ids((i, j)) + "\n"
+        line = _ids_format(2, self.width) % (i, j)
         self._file.write(line)
         self.bytes_written += len(line)
 
     def write_links(self, ids_i, ids_j) -> None:
-        """Many link lines in one buffered write (bulk output path)."""
-        width = self.width
-        text = "".join(
-            f"{int(i):0{width}d} {int(j):0{width}d}\n"
-            for i, j in zip(ids_i, ids_j)
-        )
+        """Many link lines in one write (bulk output path)."""
+        text = _encode_links(ids_i, ids_j, self.width)
         self._file.write(text)
         self.bytes_written += len(text)
 
@@ -101,13 +163,17 @@ class FixedWidthWriter:
         """One group line: all member ids."""
         if not len(ids):
             return
-        line = self._format_ids(ids) + "\n"
+        line = _ids_format(len(ids), self.width) % tuple(ids)
         self._file.write(line)
         self.bytes_written += len(line)
 
     def write_group_pair(self, ids_a: Sequence[int], ids_b: Sequence[int]) -> None:
         """A spatial-join group: both sides on one line, ``|``-separated."""
-        line = self._format_ids(ids_a) + " | " + self._format_ids(ids_b) + "\n"
+        width = self.width
+        line = (
+            _ids_format(len(ids_a), width, " | ") % tuple(ids_a)
+            + _ids_format(len(ids_b), width) % tuple(ids_b)
+        )
         self._file.write(line)
         self.bytes_written += len(line)
 

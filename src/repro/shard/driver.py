@@ -326,12 +326,15 @@ def replay_links(
             on_link_replayed(idx + 1)
         return
     add_link = window.add_link
+    # Plain floats, not ndarray rows: the merge window's scalar compares
+    # run several times slower on NumPy scalars (same doubles either way).
+    coords = points.tolist()
     for idx in range(start_cursor, n):
         if budget is not None and idx % REPLAY_CHECK_EVERY == 0:
             budget.check(stats)
         i = int(pairs[idx, 0])
         j = int(pairs[idx, 1])
-        add_link(i, j, points[i], points[j])
+        add_link(i, j, coords[i], coords[j])
         if on_link_replayed is not None:
             on_link_replayed(idx + 1)
 

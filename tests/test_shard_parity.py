@@ -17,10 +17,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import similarity_join
+from repro.core.bruteforce import brute_force_links
+from repro.core.groups import GroupBuffer
 from repro.core.results import TextSink
+from repro.datasets.sierpinski import sierpinski_pyramid
 from repro.geometry.metrics import Chebyshev, Euclidean, Manhattan
 from repro.io.writer import width_for
 from repro.obs.metrics import get_registry, reset_registry
+from repro.shard.driver import replay_links
 
 INDEXES = ["rtree", "rstar", "mtree"]
 METRICS = [Manhattan(), Euclidean(), Chebyshev()]
@@ -163,3 +167,52 @@ class TestParityProperty:
         assert sharded.stats.bytes_written == base.stats.bytes_written
         plain = similarity_join(points, eps, **kwargs)
         assert sharded.expanded_links() == plain.expanded_links()
+
+
+def _clustered_2d(n: int) -> np.ndarray:
+    rng = np.random.default_rng(17)
+    return np.vstack([0.05 + 0.08 * rng.random((n // 2, 2)), rng.random((n - n // 2, 2))])
+
+
+class TestReplayCoordinates:
+    """Phase-2 replay feeds the merge window plain floats; the result must
+    equal feeding it the ndarray rows (the same doubles as NumPy scalars)."""
+
+    @staticmethod
+    def _replay(tmp_path, tag, points, eps, feed):
+        pairs = np.array(sorted(brute_force_links(points, eps)), dtype=np.intp)
+        path = str(tmp_path / f"{tag}.txt")
+        sink = TextSink(path, id_width=width_for(len(points)))
+        window = GroupBuffer(10, eps, sink, dim=points.shape[1])
+        feed(pairs, sink, window)
+        window.flush()
+        sink.close()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        stats = sink.stats
+        return data, (stats.merge_attempts, stats.mbr_checks, stats.merge_successes)
+
+    @pytest.mark.parametrize(
+        "points,eps",
+        [(_clustered_2d(500), 0.02), (sierpinski_pyramid(400, seed=3), 0.08)],
+        ids=["clustered-2d", "sierpinski-3d"],
+    )
+    def test_replay_matches_ndarray_row_feed(self, tmp_path, points, eps):
+        def ndarray_rows(pairs, sink, window):
+            for i, j in pairs.tolist():
+                window.add_link(i, j, points[i], points[j])
+
+        feeds = {
+            "ndarray-rows": ndarray_rows,
+            "ndarray": lambda pairs, sink, window: replay_links(
+                pairs, sink, window, points
+            ),
+        }
+        runs = {
+            name: self._replay(tmp_path, name, points, eps, feed)
+            for name, feed in feeds.items()
+        }
+        reference = runs["ndarray-rows"]
+        assert reference[1][2] > 0, "workload must exercise merges"
+        for name, run in runs.items():
+            assert run == reference, name

@@ -1,10 +1,18 @@
 """Unit tests for the fixed-width output format (repro.io.writer)."""
 
 import io
+import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.api import similarity_join
+from repro.core.results import TextSink
+from repro.io.durable import scoped_fs
 from repro.io.writer import FixedWidthWriter, line_bytes, read_output, width_for
+from repro.resilience.vfs import TraceFS
 
 
 class TestLineBytes:
@@ -98,3 +106,140 @@ class TestReadOutput:
     def test_blank_lines_skipped(self):
         links, groups, pairs = read_output(io.StringIO("\n\n"))
         assert links == [] and groups == [] and pairs == []
+
+
+# -- batch encoder equivalence ----------------------------------------------
+
+
+def reference_links(ids_i, ids_j, width):
+    """The per-id f-string formatter the batch encoders must reproduce."""
+    return "".join(
+        f"{int(i):0{width}d} {int(j):0{width}d}\n" for i, j in zip(ids_i, ids_j)
+    )
+
+
+def reference_group(ids, width):
+    return " ".join(f"{int(i):0{width}d}" for i in ids) + "\n"
+
+
+ID_CONTAINERS = {
+    "int32": lambda ids: np.asarray(ids, dtype=np.int32),
+    "int64": lambda ids: np.asarray(ids, dtype=np.int64),
+    "uint64": lambda ids: np.asarray(ids, dtype=np.uint64),
+    "intp": lambda ids: np.asarray(ids, dtype=np.intp),
+    "list": list,
+}
+
+
+@st.composite
+def id_batches(draw):
+    """``(width, container, ids_i, ids_j)``: mostly in-range ids, with the
+    field's edge (``10**w - 1``) and the widening cases (``>= 10**w``,
+    negative) mixed in; empty batches included."""
+    width = draw(st.integers(1, 9))
+    container = draw(st.sampled_from(sorted(ID_CONTAINERS)))
+    top = 10**width
+    edges = [top - 1, top, top + 7, 2 * top]
+    if container != "uint64":
+        edges.append(-1)
+    ident = st.one_of(st.integers(0, top - 1), st.sampled_from(edges))
+    k = draw(st.integers(0, 12))
+    ids_i = draw(st.lists(ident, min_size=k, max_size=k))
+    ids_j = draw(st.lists(ident, min_size=k, max_size=k))
+    return width, container, ids_i, ids_j
+
+
+class TestBatchEncoder:
+    @settings(max_examples=300, deadline=None)
+    @given(id_batches())
+    def test_write_links_matches_reference(self, batch):
+        width, container, ids_i, ids_j = batch
+        wrap = ID_CONTAINERS[container]
+        buf = io.StringIO()
+        writer = FixedWidthWriter(buf, width=width)
+        writer.write_links(wrap(ids_i), wrap(ids_j))
+        expected = reference_links(ids_i, ids_j, width)
+        assert buf.getvalue() == expected
+        assert writer.bytes_written == len(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(id_batches())
+    def test_write_group_matches_reference(self, batch):
+        width, container, ids, _ = batch
+        buf = io.StringIO()
+        writer = FixedWidthWriter(buf, width=width)
+        writer.write_group(ID_CONTAINERS[container](ids))
+        expected = reference_group(ids, width) if ids else ""
+        assert buf.getvalue() == expected
+        assert writer.bytes_written == len(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(id_batches())
+    def test_write_link_and_group_pair_match_reference(self, batch):
+        width, _, ids_a, ids_b = batch
+        buf = io.StringIO()
+        writer = FixedWidthWriter(buf, width=width)
+        for i, j in zip(ids_a, ids_b):
+            writer.write_link(i, j)
+        writer.write_group_pair(ids_a, ids_b)
+        expected = reference_links(ids_a, ids_b, width) + (
+            reference_group(ids_a, width)[:-1] + " | " + reference_group(ids_b, width)
+        )
+        assert buf.getvalue() == expected
+
+    @pytest.mark.parametrize("size", [63, 64, 65, 500])
+    def test_long_group_lines_match_reference(self, size):
+        ids = list(range(3, 3 + 2 * size, 2))
+        buf = io.StringIO()
+        writer = FixedWidthWriter(buf, width=4)
+        writer.write_group(ids)
+        writer.write_group_pair(ids, ids[:2])
+        expected = reference_group(ids, 4)
+        assert buf.getvalue() == (
+            expected + expected[:-1] + " | " + reference_group(ids[:2], 4)
+        )
+
+    def test_field_edge_and_widening(self):
+        buf = io.StringIO()
+        FixedWidthWriter(buf, width=3).write_links(
+            np.array([999, 5, 1000]), np.array([0, -2, 12345])
+        )
+        assert buf.getvalue() == "999 000\n005 -02\n1000 12345\n"
+
+    def test_text_sink_normalises_batches(self, tmp_path):
+        path = str(tmp_path / "out.txt")
+        with TextSink(path, id_width=2) as sink:
+            sink.write_links(np.array([7, 1], dtype=np.int32), np.array([3, 2]))
+        with open(path) as handle:
+            assert handle.read() == "03 07\n01 02\n"
+
+
+class TestWriteOps:
+    @pytest.mark.parametrize(
+        "ids_i,ids_j",
+        [([1, 2, 3], [4, 5, 6]), ([], []), ([1, 100000], [2, 3])],
+        ids=["in-range", "empty", "widening"],
+    )
+    def test_one_write_per_link_batch(self, tmp_path, ids_i, ids_j):
+        fs = TraceFS(root=str(tmp_path / "box"))
+        with scoped_fs(fs):
+            with TextSink("/out.txt", id_width=3) as sink:
+                before = sum(op.kind == "write" for op in fs.ops)
+                sink.write_links(np.asarray(ids_i), np.asarray(ids_j))
+                after = sum(op.kind == "write" for op in fs.ops)
+        assert after - before == 1
+
+
+class TestTextSinkBytes:
+    @pytest.mark.parametrize("algorithm", ["ssj", "ncsj", "csj"])
+    def test_bytes_written_equals_file_size(self, tmp_path, algorithm):
+        rng = np.random.default_rng(3)
+        points = np.vstack([0.1 + 0.05 * rng.random((200, 2)), rng.random((200, 2))])
+        path = str(tmp_path / f"{algorithm}.txt")
+        sink = TextSink(path, id_width=width_for(len(points)))
+        try:
+            result = similarity_join(points, 0.03, algorithm=algorithm, sink=sink)
+        finally:
+            sink.close()
+        assert result.stats.links_emitted > 0
+        assert result.stats.bytes_written == os.path.getsize(path)
