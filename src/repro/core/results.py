@@ -113,6 +113,7 @@ class JoinSink:
             self._store_group(tuple(ids))
         self.stats.groups_emitted += 1
         self.stats.group_members_emitted += len(ids)
+        self.stats.group_links_implied += len(ids) * (len(ids) - 1) // 2
         self.stats.bytes_written += line_bytes(len(ids), self.id_width)
 
     def write_group_pair(self, ids_a: Sequence[int], ids_b: Sequence[int]) -> None:
@@ -128,6 +129,7 @@ class JoinSink:
             self._store_group_pair(ids_a, ids_b)
         self.stats.groups_emitted += 1
         self.stats.group_members_emitted += len(ids_a) + len(ids_b)
+        self.stats.group_links_implied += len(ids_a) * len(ids_b)
         # One line: both sides plus the " | " separator (3 bytes, of which
         # 2 are extra over the usual single separator).
         self.stats.bytes_written += (

@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.errors import InvalidInputError
 from repro.geometry.metrics import Metric, get_metric
+from repro.obs.tracing import span as trace_span
 
 __all__ = ["IndexNode", "SpatialIndex", "IndexInvariantError"]
 
@@ -147,7 +148,7 @@ class SpatialIndex(ABC):
         self.root: Optional[IndexNode] = None
         self._init_dynamic_state(pts)
         if len(pts):
-            self._build()
+            self._traced_build()
 
     def _init_dynamic_state(
         self, points: np.ndarray, deleted: Optional[set[int]] = None
@@ -187,6 +188,18 @@ class SpatialIndex(ABC):
     @abstractmethod
     def _build(self) -> None:
         """Populate :attr:`root` from :attr:`points`."""
+
+    def _traced_build(self) -> None:
+        """:meth:`_build` inside an ``index-build`` trace span.
+
+        Every ``_build`` inserts the points one at a time; bulk-loaded
+        trees get the same span from :func:`repro.index.bulk.bulk_load`
+        with the packing method instead.
+        """
+        with trace_span(
+            "index-build", index=self.name, n=len(self.points), method="insert"
+        ):
+            self._build()
 
     # -- incremental maintenance --------------------------------------------
     def insert(self, pid: int) -> None:  # pragma: no cover - interface
@@ -322,7 +335,7 @@ class SpatialIndex(ABC):
         self._owns_backing = True  # fancy indexing above made a fresh copy
         self._points_rebound()
         if len(pts):
-            self._build()
+            self._traced_build()
         return mapping
 
     # -- generic queries ----------------------------------------------------

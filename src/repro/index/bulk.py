@@ -29,6 +29,7 @@ from repro.geometry.curves import hilbert_sort, morton_sort
 from repro.geometry.mbr import MBR
 from repro.index.rstar import RStarTree
 from repro.index.rtree import RectNode, RTree
+from repro.obs.tracing import span as trace_span
 
 __all__ = ["str_pack", "hilbert_pack", "omt_pack", "bulk_load"]
 
@@ -209,12 +210,15 @@ def bulk_load(
             "not in the R-tree family"
         )
     pts = np.asarray(points, dtype=float)
-    if len(pts) == 0:
-        root = None
-    else:
-        root = packer(
-            pts, leaf_capacity=max_entries, fanout=max_entries, **packer_kwargs
+    with trace_span(
+        "index-build", index=tree_class.name, n=len(pts), method=method.lower()
+    ):
+        if len(pts) == 0:
+            root = None
+        else:
+            root = packer(
+                pts, leaf_capacity=max_entries, fanout=max_entries, **packer_kwargs
+            )
+        return tree_class.from_packed_root(
+            pts, root, metric=metric, max_entries=max_entries, min_fill=min_fill
         )
-    return tree_class.from_packed_root(
-        pts, root, metric=metric, max_entries=max_entries, min_fill=min_fill
-    )

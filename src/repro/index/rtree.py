@@ -20,7 +20,26 @@ from repro.geometry.mbr import MBR
 from repro.geometry.metrics import Metric
 from repro.index.base import IndexNode, SpatialIndex
 
-__all__ = ["RectNode", "RTree"]
+__all__ = ["RectNode", "RTree", "least_enlargement_child"]
+
+
+def least_enlargement_child(
+    lows: np.ndarray, highs: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> int:
+    """Index of the child box needing the least area enlargement to cover
+    ``[lo, hi]``; ties by least area, then lowest index.
+
+    ``lows``/``highs`` are the children's ``(k, d)`` corner matrices.
+    Each row's area is the same sequential product ``MBR.area`` takes,
+    and the first minimum is found with Python tuple comparison, so the
+    choice equals a per-child ``MBR.union(...).area() - MBR.area()``
+    loop bit for bit.  Guttman's ChooseLeaf and the R* internal levels
+    share it.
+    """
+    areas = np.prod(highs - lows, axis=1)
+    enlarged = np.prod(np.maximum(highs, hi) - np.minimum(lows, lo), axis=1)
+    keys = list(zip((enlarged - areas).tolist(), areas.tolist()))
+    return min(range(len(keys)), key=keys.__getitem__)
 
 
 class RectNode(IndexNode):
@@ -177,21 +196,16 @@ class RTree(SpatialIndex):
 
     def _choose_subtree(self, node: RectNode, point: np.ndarray) -> RectNode:
         """Guttman's ChooseLeaf: least enlargement, ties by least area."""
-        best = None
-        best_key = None
-        for child in node.children:
-            enlarged = child.mbr.union_point(point)
-            key = (enlarged.area() - child.mbr.area(), child.mbr.area())
-            if best_key is None or key < best_key:
-                best, best_key = child, key
-        return best
+        lows, highs = MBR.stack(child.mbr for child in node.children)
+        return node.children[least_enlargement_child(lows, highs, point, point)]
 
     # ------------------------------------------------------------------
     # Splitting
     # ------------------------------------------------------------------
     def _split(self, node: RectNode) -> RectNode:
         """Split an overflowing node in place; return the new sibling."""
-        items, mbrs = self._node_items(node)
+        items, lows, highs = self._node_corners(node)
+        mbrs = [MBR(lo, hi) for lo, hi in zip(lows, highs)]
         if self.split_method == "quadratic":
             group_a, group_b = self._quadratic_partition(mbrs)
         else:
@@ -204,15 +218,15 @@ class RTree(SpatialIndex):
         node.invalidate_cache()
         return sibling
 
-    def _node_items(self, node: RectNode):
-        """The node's entries as (item, MBR) parallel lists."""
+    def _node_corners(self, node: RectNode):
+        """The node's entries plus their ``(k, d)`` lower and upper corners."""
         if node.is_leaf:
             items = list(node.entry_ids)
-            mbrs = [MBR.of_point(self.points[pid]) for pid in items]
-        else:
-            items = list(node.children)
-            mbrs = [child.mbr for child in items]
-        return items, mbrs
+            corners = self.points[np.asarray(items, dtype=np.intp)]
+            return items, corners, corners
+        items = list(node.children)
+        lows, highs = MBR.stack(child.mbr for child in items)
+        return items, lows, highs
 
     def _assign_items(self, node: RectNode, items: list) -> None:
         if node.is_leaf:

@@ -46,6 +46,10 @@ class JoinStats:
     groups_emitted: int = 0
     #: Total number of point memberships over all emitted groups.
     group_members_emitted: int = 0
+    #: Links the group lines stand for: ``k(k-1)/2`` per group of ``k``
+    #: ids and ``|A|*|B|`` per group pair, counted with multiplicity (a
+    #: link covered by two groups counts twice).
+    group_links_implied: int = 0
     #: CSJ(g) merge machinery: attempts to fit a link into a recent group.
     merge_attempts: int = 0
     merge_successes: int = 0
@@ -75,14 +79,13 @@ class JoinStats:
 
     @property
     def pairs_reported(self) -> int:
-        """Number of links implied by the output.
+        """Number of links implied by the output, with multiplicity.
 
-        Each group of *k* members implies ``k * (k - 1) / 2`` links; this
-        property is therefore only meaningful when accumulated alongside
-        :attr:`group_members_emitted` by the sinks, and is provided for the
-        common case of individually emitted links.
+        Individually written links plus :attr:`group_links_implied`; a
+        link that two output lines both imply is counted twice, so this
+        bounds the distinct pair count from above.
         """
-        return self.links_emitted
+        return self.links_emitted + self.group_links_implied
 
     def as_dict(self) -> dict[str, float]:
         """All counters plus the derived values as a plain dictionary.

@@ -351,6 +351,30 @@ class TestTracing:
         ]
         assert "checkpoint" in names
 
+    def test_index_build_spans(self, tmp_path):
+        from repro.index.bulk import bulk_load
+        from repro.index.rstar import RStarTree
+        from repro.index.rtree import RTree
+
+        path = tmp_path / "t.jsonl"
+        configure_tracing(str(path))
+        pts = np.random.default_rng(0).random((120, 2))
+        tree = RStarTree(pts, max_entries=8)
+        tree.delete(3)
+        tree.compact()  # rebuilds by insertion: a second span
+        bulk_load(pts, method="Hilbert", tree_class=RTree)
+        disable_tracing()
+        builds = [
+            (r["index"], r["n"], r["method"])
+            for r in map(json.loads, path.read_text().splitlines())
+            if r["name"] == "index-build"
+        ]
+        assert builds == [
+            ("rstar", 120, "insert"),
+            ("rstar", 119, "insert"),
+            ("rtree", 120, "hilbert"),
+        ]
+
     def test_thread_local_stacks(self):
         import threading
 

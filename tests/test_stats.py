@@ -95,6 +95,34 @@ class TestJoinStats:
 
     def test_pairs_reported(self):
         assert JoinStats(links_emitted=4).pairs_reported == 4
+        stats = JoinStats(links_emitted=4, group_links_implied=6)
+        assert stats.pairs_reported == 10
+
+    def test_pairs_reported_counts_group_lines(self):
+        # Clustered points make CSJ emit many groups: the headline count
+        # must cover every link a group line stands for, not only the
+        # individually written links.
+        from repro.api import similarity_join
+        from repro.datasets.synthetic import gaussian_clusters
+
+        pts = gaussian_clusters(600, seed=3, n_clusters=5)
+        result = similarity_join(pts, 0.03, algorithm="csj", g=10)
+        implied = sum(len(g) * (len(g) - 1) // 2 for g in result.groups)
+        assert result.groups and implied > 0
+        assert result.stats.pairs_reported == len(result.links) + implied
+        assert result.stats.pairs_reported >= len(result.expanded_links())
+
+    def test_pairs_reported_counts_group_pairs(self):
+        from repro.core.dual import compact_spatial_join
+        from repro.datasets.synthetic import gaussian_clusters
+        from repro.index.bulk import bulk_load
+
+        tree_a = bulk_load(gaussian_clusters(200, seed=1, n_clusters=3), max_entries=8)
+        tree_b = bulk_load(gaussian_clusters(200, seed=1, n_clusters=3), max_entries=8)
+        result = compact_spatial_join(tree_a, tree_b, 0.04, g=10)
+        implied = sum(len(a) * len(b) for a, b in result.group_pairs)
+        assert result.group_pairs and implied > 0
+        assert result.stats.pairs_reported == len(result.links) + implied
 
 
 class TestTimer:
