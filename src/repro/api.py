@@ -88,7 +88,6 @@ def similarity_join(
     budget: Optional["Budget"] = None,
     workers: Optional[int] = None,
     task_timeout: Optional[float] = None,
-    engine: str = "vectorized",
     data_plane: str = "auto",
     shards: Optional[int] = None,
     partitioner: str = "grid",
@@ -124,12 +123,10 @@ def similarity_join(
     ``"pickle"`` ships it per worker, ``"auto"`` (default) prefers shm
     where available.  Output bytes are identical either way.
 
-    ``engine`` selects how tree algorithms prune: ``"vectorized"``
-    (default) runs the batched-kernel frontier engine,
-    ``"scalar"`` the per-pair recursive one.  Both produce byte-identical
-    output and identical counters; grid/partition algorithms ignore the
-    choice.  For a belt-and-braces run of *both* engines with an
-    equivalence check, see :func:`repro.core.verify.cross_check_engines`.
+    Tree algorithms run on one task stream (:mod:`repro.core.frontier`):
+    batched-kernel pruning over the packed index, or the per-pair
+    recursion over node objects when the index cannot be packed (object
+    metrics).  The input decides, and the output is the same either way.
 
     ``shards`` (any integer >= 1) partitions the dataset into that many
     spatial shards with ε-margin boundary replication and runs one join
@@ -182,7 +179,6 @@ def similarity_join(
             budget=budget,
             workers=workers,
             task_timeout=task_timeout,
-            engine=engine,
             data_plane=data_plane,
         )
     if workers is not None and workers > 1:
@@ -206,7 +202,6 @@ def similarity_join(
             bulk=bulk,
             budget=budget,
             task_timeout=task_timeout,
-            engine=engine,
             data_plane=data_plane,
         )
     if algorithm == "egrid":
@@ -227,10 +222,10 @@ def similarity_join(
         )
     tree = build_index(points, index, metric=metric, max_entries=max_entries, bulk=bulk)
     if algorithm == "ssj":
-        return _ssj(tree, eps, sink=sink, budget=budget, engine=engine)
+        return _ssj(tree, eps, sink=sink, budget=budget)
     if algorithm == "ncsj":
-        return _ncsj(tree, eps, sink=sink, budget=budget, engine=engine)
-    return _csj(tree, eps, g=g, sink=sink, budget=budget, engine=engine)
+        return _ncsj(tree, eps, sink=sink, budget=budget)
+    return _csj(tree, eps, g=g, sink=sink, budget=budget)
 
 
 def maintained_join(
@@ -240,7 +235,6 @@ def maintained_join(
     index: Union[str, SpatialIndex] = "rstar",
     metric: object = None,
     max_entries: int = 64,
-    engine: str = "vectorized",
 ):
     """Materialize a compact join and keep it consistent under updates.
 
@@ -259,7 +253,6 @@ def maintained_join(
         metric=metric,
         index=index,
         max_entries=max_entries,
-        engine=engine,
     )
 
 
@@ -268,7 +261,6 @@ def open_service(
     deadline_ms: Optional[float] = None,
     executors: int = 1,
     workers: int = 1,
-    engine: str = "vectorized",
     **config_kwargs,
 ):
     """Open an overload-resilient :class:`~repro.service.JoinService`.
@@ -296,7 +288,6 @@ def open_service(
             executors=executors,
             default_deadline=None if deadline_ms is None else deadline_ms / 1000.0,
             workers=workers,
-            engine=engine,
             **config_kwargs,
         )
     )
@@ -313,16 +304,15 @@ def spatial_join_datasets(
     sink: Optional[JoinSink] = None,
     max_entries: int = 64,
     bulk: Optional[str] = "str",
-    engine: str = "vectorized",
 ) -> JoinResult:
     """Spatial join between two datasets (Section IV-D).
 
     Builds one index per dataset and runs the dual-tree join; with
     ``compact`` the output uses group pairs, otherwise individual links.
-    ``engine`` selects the pruning engine as in :func:`similarity_join`.
+    Batched pruning runs when both indexes pack with the same node kind.
     """
     tree_a = build_index(points_a, index, metric=metric, max_entries=max_entries, bulk=bulk)
     tree_b = build_index(points_b, index, metric=metric, max_entries=max_entries, bulk=bulk)
     if compact:
-        return compact_spatial_join(tree_a, tree_b, eps, g=g, sink=sink, engine=engine)
-    return spatial_join(tree_a, tree_b, eps, sink=sink, engine=engine)
+        return compact_spatial_join(tree_a, tree_b, eps, g=g, sink=sink)
+    return spatial_join(tree_a, tree_b, eps, sink=sink)

@@ -16,6 +16,13 @@ when no recent group can absorb it.  N-CSJ is implemented as CSJ with an
 empty merge window (``g = 0``), which reproduces its behaviour exactly: a
 two-point group is written as a plain link in the paper's output format.
 
+All three tree self-joins (SSJ included) run on one loop,
+:func:`_tree_join`: it pulls tasks from the task stream of
+:mod:`repro.core.frontier`, executes each with :func:`execute_tree_task`
+and applies the events through the merge window.  The task list of
+:class:`~repro.parallel.tasks.TaskState` (parallel, checkpointed and
+sharded runs) is the same stream and the same executor.
+
 Theorem 1 (completeness — every qualifying pair is implied by the output)
 and Theorem 2 (correctness — no non-qualifying pair is implied) hold by
 construction; the test suite re-verifies both against a brute-force join
@@ -29,10 +36,12 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
+from repro.core.frontier import iter_node_tasks, iter_packed_tasks
 from repro.core.groups import GroupBuffer, apply_events
 from repro.core.results import CollectSink, JoinResult, JoinSink
 from repro.errors import BudgetExceededError
 from repro.index.base import IndexNode, SpatialIndex
+from repro.index.packed import pack_index
 from repro.index.rtree import RectNode
 from repro.io.pagesim import NodePager
 from repro.io.writer import width_for
@@ -54,6 +63,7 @@ __all__ = [
     "packed_pair_group_delta",
     "leaf_self_delta",
     "leaf_cross_delta",
+    "execute_tree_task",
 ]
 
 logger = get_logger("core.csj")
@@ -64,8 +74,8 @@ logger = get_logger("core.csj")
 #
 # Each returns a serializable description of the task's output (the event
 # vocabulary of :func:`repro.core.groups.apply_events`) instead of writing
-# anywhere, so the same code runs in-process, under the checkpointed
-# driver, and inside parallel worker processes.
+# anywhere, so the same code runs in the serial loop, under the
+# checkpointed driver, and inside parallel worker processes.
 # ---------------------------------------------------------------------------
 
 def group_bounds(points: np.ndarray, node: IndexNode, ids: np.ndarray) -> tuple[list, list]:
@@ -224,6 +234,167 @@ def leaf_cross_delta(
     )], dc
 
 
+
+
+def execute_tree_task(
+    task: tuple, points: np.ndarray, metric, eps: float, g: int, packed=None
+) -> tuple[list, tuple[int, int, int]]:
+    """Run one tree-join task; returns ``(events, (dc, mbr_checks, early_stops))``.
+
+    ``task`` comes from :func:`~repro.core.frontier.iter_packed_tasks`
+    (node ids; pass its ``packed``) or
+    :func:`~repro.core.frontier.iter_node_tasks` (node objects;
+    ``packed=None``).  Pure: no sink writes, no window mutation, no
+    stats mutation — safe to run in any process and to run twice
+    (speculation, retries) with identical results.
+    """
+    kind = task[0]
+    if packed is not None:
+        if kind == "group":
+            return packed_node_group_delta(points, packed, task[1]), (0, 0, 1)
+        if kind == "pgroup":
+            return (
+                packed_pair_group_delta(points, packed, task[1], task[2]),
+                (0, 0, 1),
+            )
+        ids1 = packed.leaf_entry_ids(task[1])
+        ids2 = packed.leaf_entry_ids(task[2]) if kind == "cross" else None
+    else:
+        if kind == "group":
+            return node_group_delta(points, task[1]), (0, 0, 1)
+        if kind == "pgroup":
+            return pair_group_delta(points, task[1], task[2]), (0, 0, 1)
+        ids1 = task[1].entry_ids
+        ids2 = task[2].entry_ids if kind == "cross" else None
+    if kind == "self":
+        events, dc = leaf_self_delta(points, metric, eps, ids1, g)
+    else:
+        events, dc = leaf_cross_delta(points, metric, eps, ids1, ids2, g)
+    return events, (dc, 0, 0)
+
+
+def _tree_join(
+    tree: SpatialIndex,
+    packed,
+    eps: float,
+    g: int,
+    compact: bool,
+    label: str,
+    sink: Optional[JoinSink] = None,
+    pager: Optional[NodePager] = None,
+    budget: Optional["Budget"] = None,
+) -> JoinResult:
+    """The one serial loop behind ``ssj``, ``ncsj`` and ``csj``.
+
+    Pulls the next task from the packed stream (``packed`` is
+    ``pack_index(tree)``) or, when ``packed`` is ``None``, from the node
+    stream; runs :func:`execute_tree_task` on it and applies the events
+    to ``sink`` through the merge window.  The stream charges traversal
+    counters, checks ``budget`` and visits ``pager`` pages as the
+    recursion enters each node and node pair; tasks execute as they are
+    yielded, so sink writes interleave with those checks exactly as in
+    the recursion.
+
+    A breached ``budget`` flushes the in-flight group window, so the sink
+    holds a valid prefix of the output, which is attached to the raised
+    :class:`~repro.errors.BudgetExceededError` as ``exc.partial``.  The
+    one exception is SSJ over its output-byte budget, which returns the
+    analytic estimate instead (:func:`_estimated_fallback`).
+    """
+    if sink is None:
+        sink = CollectSink(id_width=width_for(tree.size))
+    stats = sink.stats
+    points = tree.points
+    metric = tree.metric
+    buffer = None
+    if compact:
+        dim = points.shape[1] if points.ndim == 2 else None
+        buffer = GroupBuffer(g, eps, sink, metric=metric, stats=stats, dim=dim)
+    if packed is None:
+        tasks = iter_node_tasks(tree, eps, compact, stats, budget, pager)
+    elif tree.size > 1:
+        tasks = iter_packed_tasks(packed, eps, compact, stats, budget, pager)
+    else:
+        tasks = ()
+    result_g = g if compact else None
+    span_fields = {"g": g} if compact else {}
+    if budget is not None:
+        budget.start()
+    start = time.perf_counter()
+    try:
+        with trace_span("descend", algorithm=label, eps=eps, **span_fields):
+            for task in tasks:
+                events, (dc, _, stops) = execute_tree_task(
+                    task, points, metric, eps, g, packed
+                )
+                stats.distance_computations += dc
+                stats.early_stops += stops
+                apply_events(events, sink, buffer)
+        if buffer is not None:
+            with trace_span("emit", algorithm=label):
+                buffer.flush()
+    except BudgetExceededError as exc:
+        if buffer is not None:
+            buffer.flush()
+        stats.compute_time += time.perf_counter() - start - stats.write_time
+        logger.warning(
+            "join budget breach",
+            extra={"algorithm": label, "kind": exc.kind, "limit": exc.limit},
+        )
+        if not compact and exc.kind == "output_bytes":
+            return _estimated_fallback(tree, eps, sink, stats)
+        exc.partial = JoinResult.from_sink(
+            sink, eps=eps, algorithm=label, g=result_g, index_name=type(tree).name
+        )
+        raise
+    stats.compute_time += time.perf_counter() - start - stats.write_time
+    if pager is not None:
+        stats.page_reads += pager.cache.misses
+        stats.cache_hits += pager.cache.hits
+    logger.debug(
+        "join finished",
+        extra={
+            "algorithm": label,
+            "links_emitted": stats.links_emitted,
+            "groups_emitted": stats.groups_emitted,
+            "bytes_written": stats.bytes_written,
+            "distance_computations": stats.distance_computations,
+            "early_stops": stats.early_stops,
+            "merge_successes": stats.merge_successes,
+        },
+    )
+    return JoinResult.from_sink(
+        sink, eps=eps, algorithm=label, g=result_g, index_name=type(tree).name
+    )
+
+
+def _estimated_fallback(tree: SpatialIndex, eps: float, sink: JoinSink, partial_stats):
+    """The paper's crash protocol as a first-class mechanism (SSJ only).
+
+    The exact link count is obtained cheaply (dual-tree counting, no pair
+    materialisation) and the output size follows from the fixed-width
+    format; the returned result carries ``estimated=True`` so tables can
+    mark it like the paper's "full, black shapes".
+    """
+    from repro.experiments.estimate import estimate_ssj  # deferred: no cycle
+
+    estimate = estimate_ssj(tree.points, eps, sink.id_width, metric=tree.metric)
+    stats = JoinStats()
+    stats.links_emitted = estimate.links
+    stats.bytes_written = estimate.output_bytes
+    # Keep the honest measurements made before the breach.
+    stats.compute_time = partial_stats.compute_time
+    stats.write_time = partial_stats.write_time
+    stats.distance_computations = partial_stats.distance_computations
+    return JoinResult(
+        eps=eps,
+        algorithm="ssj",
+        stats=stats,
+        index_name=type(tree).name,
+        estimated=True,
+    )
+
+
 def csj(
     tree: SpatialIndex,
     eps: float,
@@ -232,7 +403,6 @@ def csj(
     pager: Optional[NodePager] = None,
     budget: Optional["Budget"] = None,
     _algorithm_label: Optional[str] = None,
-    engine: str = "vectorized",
 ) -> JoinResult:
     """Run the compact similarity join CSJ(g) on ``tree``.
 
@@ -240,10 +410,6 @@ def csj(
     (Figure 6).  ``g = 0`` degenerates to N-CSJ.  Returns a
     :class:`~repro.core.results.JoinResult` whose groups and links together
     imply exactly the SSJ output (Theorems 1 and 2).
-
-    ``engine`` selects the descent implementation (``"vectorized"`` /
-    ``"scalar"``), exactly as in :func:`repro.core.ssj.ssj`; results are
-    byte-identical either way.
 
     A breached ``budget`` stops the run cleanly: the in-flight group
     window is flushed first, so the sink holds a valid prefix of the
@@ -255,49 +421,9 @@ def csj(
         raise ValueError(f"query range must be positive, got {eps}")
     if g < 0:
         raise ValueError(f"window size g must be >= 0, got {g}")
-    if sink is None:
-        sink = CollectSink(id_width=width_for(tree.size))
     label = _algorithm_label or (f"csj({g})" if g else "ncsj")
-    runner = _make_runner(tree, float(eps), int(g), sink, pager, budget, engine)
-    if budget is not None:
-        budget.start()
-    start = time.perf_counter()
-    try:
-        with trace_span("descend", algorithm=label, eps=eps, g=g):
-            if tree.root is not None and tree.size > 1:
-                runner.join_node(tree.root)
-        with trace_span("emit", algorithm=label):
-            runner.buffer.flush()
-    except BudgetExceededError as exc:
-        runner.buffer.flush()
-        elapsed = time.perf_counter() - start
-        stats = sink.stats
-        stats.compute_time += elapsed - stats.write_time
-        logger.warning(
-            "csj budget breach", extra={"kind": exc.kind, "limit": exc.limit}
-        )
-        exc.partial = JoinResult.from_sink(
-            sink, eps=eps, algorithm=label, g=g, index_name=type(tree).name
-        )
-        raise
-    elapsed = time.perf_counter() - start
-    stats = sink.stats
-    stats.compute_time += elapsed - stats.write_time
-    if pager is not None:
-        stats.page_reads += pager.cache.misses
-        stats.cache_hits += pager.cache.hits
-    logger.debug(
-        "csj finished",
-        extra={
-            "algorithm": label,
-            "links_emitted": stats.links_emitted,
-            "groups_emitted": stats.groups_emitted,
-            "early_stops": stats.early_stops,
-            "merge_successes": stats.merge_successes,
-        },
-    )
-    return JoinResult.from_sink(
-        sink, eps=eps, algorithm=label, g=g, index_name=type(tree).name
+    return _tree_join(
+        tree, pack_index(tree), float(eps), int(g), True, label, sink, pager, budget
     )
 
 
@@ -307,7 +433,6 @@ def ncsj(
     sink: Optional[JoinSink] = None,
     pager: Optional[NodePager] = None,
     budget: Optional["Budget"] = None,
-    engine: str = "vectorized",
 ) -> JoinResult:
     """Run the naive compact similarity join N-CSJ on ``tree``.
 
@@ -316,133 +441,5 @@ def ncsj(
     """
     return csj(
         tree, eps, g=0, sink=sink, pager=pager, budget=budget,
-        _algorithm_label="ncsj", engine=engine,
+        _algorithm_label="ncsj",
     )
-
-
-def _make_runner(tree, eps, g, sink, pager, budget, engine) -> "_CSJRunner":
-    from repro.core.frontier import _VecCSJRunner, resolve_engine  # lazy: cycle
-
-    if resolve_engine(engine) == "vectorized":
-        from repro.index.packed import pack_index
-
-        packed = pack_index(tree)
-        if packed is not None:
-            return _VecCSJRunner(tree, eps, g, sink, pager, budget, packed)
-    return _CSJRunner(tree, eps, g, sink, pager, budget)
-
-
-class _CSJRunner:
-    """Recursive engine for one N-CSJ / CSJ(g) execution."""
-
-    def __init__(
-        self,
-        tree: SpatialIndex,
-        eps: float,
-        g: int,
-        sink: JoinSink,
-        pager: Optional[NodePager],
-        budget: Optional["Budget"] = None,
-    ):
-        self.points = tree.points
-        self.metric = tree.metric
-        self.eps = eps
-        self.g = g
-        self.sink = sink
-        self.stats: JoinStats = sink.stats
-        self.pager = pager
-        self.budget = budget
-        dim = tree.points.shape[1] if tree.points.ndim == 2 else None
-        self.buffer = GroupBuffer(
-            g, eps, sink, metric=tree.metric, stats=sink.stats, dim=dim
-        )
-
-    # ------------------------------------------------------------------
-    # Group creation helpers
-    # ------------------------------------------------------------------
-    def _emit_node_group(self, node: IndexNode) -> None:
-        self.stats.early_stops += 1
-        apply_events(node_group_delta(self.points, node), self.sink, self.buffer)
-
-    def _emit_pair_group(self, n1: IndexNode, n2: IndexNode) -> None:
-        self.stats.early_stops += 1
-        apply_events(pair_group_delta(self.points, n1, n2), self.sink, self.buffer)
-
-    # ------------------------------------------------------------------
-    # simJoin(TreeNode n) — Figure 3, lines 1-18
-    # ------------------------------------------------------------------
-    def join_node(self, node: IndexNode) -> None:
-        self.stats.nodes_visited += 1
-        if self.budget is not None:
-            self.budget.check(self.stats)
-        if self.pager is not None:
-            self.pager.visit(node)
-        # Early stop (line 2): the whole subtree is one group.
-        self.stats.mbr_checks += 1
-        if node.diameter(self.metric) < self.eps:
-            self._emit_node_group(node)
-            return
-        if node.is_leaf:
-            self._leaf_self(node)
-            return
-        children = node.children
-        for child in children:
-            self.join_node(child)
-        for a in range(len(children)):
-            for b in range(a + 1, len(children)):
-                self.stats.mbr_checks += 1
-                if children[a].min_dist(children[b], self.metric) < self.eps:
-                    self.join_pair(children[a], children[b])
-
-    # ------------------------------------------------------------------
-    # simJoin(TreeNode n1, n2) — Figure 3, lines 19-41
-    # ------------------------------------------------------------------
-    def join_pair(self, n1: IndexNode, n2: IndexNode) -> None:
-        self.stats.node_pairs_visited += 1
-        if self.budget is not None:
-            self.budget.check(self.stats)
-        if self.pager is not None:
-            self.pager.visit(n1)
-            self.pager.visit(n2)
-        # Early stop (line 20): both subtrees together form one group.
-        self.stats.mbr_checks += 1
-        if n1.union_diameter(n2, self.metric) < self.eps:
-            self._emit_pair_group(n1, n2)
-            return
-        if n1.is_leaf and n2.is_leaf:
-            self._leaf_cross(n1, n2)
-            return
-        if n1.is_leaf:
-            for child in n2.children:
-                self.stats.mbr_checks += 1
-                if n1.min_dist(child, self.metric) < self.eps:
-                    self.join_pair(n1, child)
-            return
-        if n2.is_leaf:
-            for child in n1.children:
-                self.stats.mbr_checks += 1
-                if child.min_dist(n2, self.metric) < self.eps:
-                    self.join_pair(child, n2)
-            return
-        for c1 in n1.children:
-            for c2 in n2.children:
-                self.stats.mbr_checks += 1
-                if c1.min_dist(c2, self.metric) < self.eps:
-                    self.join_pair(c1, c2)
-
-    # ------------------------------------------------------------------
-    # Leaf-level link routing — Figure 3 lines 5-10 and 23-29
-    # ------------------------------------------------------------------
-    def _leaf_self(self, node: IndexNode) -> None:
-        events, dc = leaf_self_delta(
-            self.points, self.metric, self.eps, node.entry_ids, self.g
-        )
-        self.stats.distance_computations += dc
-        apply_events(events, self.sink, self.buffer)
-
-    def _leaf_cross(self, n1: IndexNode, n2: IndexNode) -> None:
-        events, dc = leaf_cross_delta(
-            self.points, self.metric, self.eps, n1.entry_ids, n2.entry_ids, self.g
-        )
-        self.stats.distance_computations += dc
-        apply_events(events, self.sink, self.buffer)

@@ -38,7 +38,6 @@ def spatial_join(
     tree_b: SpatialIndex,
     eps: float,
     sink: Optional[JoinSink] = None,
-    engine: str = "vectorized",
 ) -> JoinResult:
     """Standard dual-tree spatial join: every cross link individually.
 
@@ -46,9 +45,7 @@ def spatial_join(
     points and row ``j`` of ``tree_b``'s.  Links are therefore *not*
     normalised to ``i < j`` — the two sides are different relations.
     """
-    return _dual_join(
-        tree_a, tree_b, eps, sink, g=None, label="ssj-spatial", engine=engine
-    )
+    return _dual_join(tree_a, tree_b, eps, sink, g=None, label="ssj-spatial")
 
 
 def compact_spatial_join(
@@ -57,7 +54,6 @@ def compact_spatial_join(
     eps: float,
     g: int = 10,
     sink: Optional[JoinSink] = None,
-    engine: str = "vectorized",
 ) -> JoinResult:
     """Compact dual-tree spatial join: group pairs plus residual links.
 
@@ -67,10 +63,10 @@ def compact_spatial_join(
     if g < 0:
         raise ValueError(f"window size g must be >= 0, got {g}")
     label = f"csj({g})-spatial" if g else "ncsj-spatial"
-    return _dual_join(tree_a, tree_b, eps, sink, g=g, label=label, engine=engine)
+    return _dual_join(tree_a, tree_b, eps, sink, g=g, label=label)
 
 
-def _dual_join(tree_a, tree_b, eps, sink, g, label, engine="vectorized") -> JoinResult:
+def _dual_join(tree_a, tree_b, eps, sink, g, label) -> JoinResult:
     if eps <= 0:
         raise ValueError(f"query range must be positive, got {eps}")
     if tree_a.metric != tree_b.metric:
@@ -79,7 +75,7 @@ def _dual_join(tree_a, tree_b, eps, sink, g, label, engine="vectorized") -> Join
         )
     if sink is None:
         sink = CollectSink(id_width=width_for(max(tree_a.size, tree_b.size)))
-    runner = _make_runner(tree_a, tree_b, eps, g, sink, engine)
+    runner = _make_runner(tree_a, tree_b, eps, g, sink)
     start = time.perf_counter()
     if tree_a.root is not None and tree_b.root is not None:
         runner.join_pair(tree_a.root, tree_b.root)
@@ -90,20 +86,15 @@ def _dual_join(tree_a, tree_b, eps, sink, g, label, engine="vectorized") -> Join
     )
 
 
-def _make_runner(tree_a, tree_b, eps, g, sink, engine) -> "_DualRunner":
-    from repro.core.frontier import _VecDualRunner, resolve_engine  # lazy: cycle
+def _make_runner(tree_a, tree_b, eps, g, sink) -> "_DualRunner":
+    """The batched runner when both trees pack with the same kind."""
+    from repro.core.frontier import _VecDualRunner  # lazy: cycle
+    from repro.index.packed import pack_index
 
-    if resolve_engine(engine) == "vectorized":
-        from repro.index.packed import pack_index
-
-        packed_a = pack_index(tree_a)
-        packed_b = pack_index(tree_b)
-        if (
-            packed_a is not None
-            and packed_b is not None
-            and packed_a.kind == packed_b.kind
-        ):
-            return _VecDualRunner(tree_a, tree_b, eps, g, sink, packed_a, packed_b)
+    packed_a = pack_index(tree_a)
+    packed_b = pack_index(tree_b)
+    if packed_a is not None and packed_b is not None and packed_a.kind == packed_b.kind:
+        return _VecDualRunner(tree_a, tree_b, eps, g, sink, packed_a, packed_b)
     return _DualRunner(tree_a, tree_b, eps, g, sink)
 
 
@@ -120,7 +111,7 @@ class _PairGroup:
 
 
 class _DualRunner:
-    """Recursive engine for one (compact) spatial join execution."""
+    """Recursive runner for one (compact) spatial join execution."""
 
     def __init__(self, tree_a, tree_b, eps: float, g: Optional[int], sink: JoinSink):
         self.points_a = tree_a.points

@@ -43,6 +43,7 @@ __all__ = [
     "egrid_join",
     "egrid_sorted_join",
     "grid_cells",
+    "enumerate_egrid_tasks",
     "epsilon_grid_order",
     "cell_self_delta",
     "cell_pair_delta",
@@ -150,6 +151,26 @@ def egrid_join(
     return JoinResult.from_sink(
         sink, eps=eps, algorithm=label, g=g if compact else None, index_name="egrid"
     )
+
+
+def enumerate_egrid_tasks(pts: np.ndarray, eps: float) -> list[tuple]:
+    """The cell work units of :func:`egrid_join`, in its visit order.
+
+    ``("self", ids)`` for each cell, each followed by ``("cross", ids,
+    other)`` for its lexicographically positive neighbours — the task
+    list that parallel and checkpointed grid joins execute.
+    """
+    cells = grid_cells(pts, eps)
+    offsets = _positive_neighbour_offsets(pts.shape[1])
+    tasks: list[tuple] = []
+    for key, ids in cells.items():
+        tasks.append(("self", ids))
+        for offset in offsets:
+            neighbour = tuple(k + o for k, o in zip(key, offset))
+            other = cells.get(neighbour)
+            if other is not None:
+                tasks.append(("cross", ids, other))
+    return tasks
 
 
 def epsilon_grid_order(points: np.ndarray, eps: float) -> np.ndarray:

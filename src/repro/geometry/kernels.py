@@ -1,8 +1,8 @@
 """Batched geometry kernels over packed bounding-shape arrays.
 
-The scalar join engines prune node pairs one at a time — a Python-level
-``MBR.min_dist`` call per pair, each allocating fresh NumPy temporaries
-for a handful of floats.  The vectorized frontier engine
+The node-object recursion prunes node pairs one at a time — a
+Python-level ``MBR.min_dist`` call per pair, each allocating fresh NumPy
+temporaries for a handful of floats.  The packed task stream
 (:mod:`repro.core.frontier`) instead prunes a whole fanout² candidate
 block with a single kernel call over contiguous ``(lo, hi)`` corner
 matrices (or ``(center, radius)`` arrays for ball-shaped nodes).
@@ -13,12 +13,12 @@ scalar counterpart in :class:`repro.geometry.mbr.MBR` /
 bit-identical to the scalar path for every Minkowski metric (L1, L2,
 L∞ and fractional/whole p alike — the metric's ``norm_rows`` reduces the
 coordinate axis identically in both paths).  That equivalence is what
-lets the vectorized engine promise byte-identical output and identical
+lets the packed stream promise byte-identical output and identical
 ``JoinStats`` counters; the property-based test suite re-verifies it.
 
 Surviving index pairs are always returned in *canonical order*: row-major
 over the candidate block, with ``row < col`` for self-sets — the exact
-order the scalar engines' nested ``for a / for b`` loops visit.
+order the recursion's nested ``for a / for b`` loops visit.
 """
 
 from __future__ import annotations
@@ -149,7 +149,7 @@ def self_pairs_within(
 
     Works on the condensed upper triangle — no ``k × k`` matrix is ever
     materialised, mirroring the ``for a / for b in range(a+1, k)`` loop
-    of the scalar engines.
+    of the node-object recursion.
     """
     k = len(lo)
     if k < 2:

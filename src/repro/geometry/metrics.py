@@ -45,8 +45,8 @@ def triu_pair_indices(k: int) -> "tuple[np.ndarray, np.ndarray]":
 
     Equivalent to ``np.triu_indices(k, k=1)`` but cached for the leaf
     sizes the joins see repeatedly.  The pairs enumerate ``(a, b)`` with
-    ``a < b`` in row-major order — the exact visit order of the scalar
-    engines' nested pair loops.
+    ``a < b`` in row-major order — the exact visit order of the
+    recursion's nested pair loops.
     """
     cached = _TRIU_CACHE.get(k)
     if cached is not None:
@@ -150,7 +150,13 @@ class Minkowski(Metric):
         self.name = f"minkowski-{self.p:g}"
 
     def norm_rows(self, diffs: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(diffs) ** self.p, axis=-1) ** (1.0 / self.p)
+        # ``float_power`` rounds every element like the C library's
+        # ``pow`` (as ``norm_seq`` does).  ``**`` may take a SIMD loop
+        # that differs in the last bit depending on where an element sits
+        # in the array, so one distance would depend on the batch it is
+        # computed in, and batched and per-pair bounds could disagree.
+        powered = np.float_power(np.abs(diffs), self.p)
+        return np.float_power(np.sum(powered, axis=-1), 1.0 / self.p)
 
     def norm_seq(self, values: "list[float]") -> float:
         return sum(abs(v) ** self.p for v in values) ** (1.0 / self.p)

@@ -1,4 +1,4 @@
-"""Structure-of-arrays view of a spatial index for the frontier engine.
+"""Structure-of-arrays view of a spatial index for the packed task stream.
 
 The tree indexes store one Python object per node, so any traversal pays
 attribute lookups and tiny-array arithmetic per node pair.
@@ -27,8 +27,8 @@ same elementwise operations (see :mod:`repro.geometry.kernels`).
 
 ``pack_index`` returns ``None`` whenever the index cannot be packed — an
 unknown node type, a mixed-kind tree, or a metric without a vector norm
-(e.g. :class:`repro.core.metricspace.ObjectMetric`) — and callers fall
-back to the scalar engine.
+(e.g. :class:`repro.core.metricspace.ObjectMetric`) — and the joins run
+on the node-object task stream instead.
 """
 
 from __future__ import annotations
@@ -188,9 +188,9 @@ def _metric_is_vectorizable(metric, dim: int) -> bool:
 def pack_index(index: SpatialIndex) -> Optional[PackedIndex]:
     """Flatten ``index`` into a :class:`PackedIndex`, or ``None``.
 
-    ``None`` signals "use the scalar engine": the tree is empty, its node
-    type is not rectangle- or ball-shaped, or its metric has no vector
-    norm to batch with.
+    ``None`` signals "use the node-object stream": the tree is empty,
+    its node type is not rectangle- or ball-shaped, or its metric has no
+    vector norm to batch with.
 
     The result (including a ``None`` verdict) is memoized on the index,
     keyed by its ``_structure_version``, so repeated joins over an

@@ -53,7 +53,6 @@ def parallel_join(
     task_timeout: Optional[float] = None,
     config: Optional[SupervisorConfig] = None,
     fault: Optional[FlakyWorker] = None,
-    engine: str = "vectorized",
     breaker: object = None,
     cancel: object = None,
     data_plane: str = "auto",
@@ -133,7 +132,6 @@ def parallel_join(
             bulk=bulk,
             metric=metric,
             partitions_per_axis=partitions_per_axis,
-            engine=engine,
             deadline_at=deadline_at,
             data_plane=plane,
             dataset_ref=shared.ref if shared is not None else None,

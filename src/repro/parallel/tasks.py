@@ -3,9 +3,10 @@
 The parallel executor rests on one structural fact: every supported join
 is a deterministic, flat sequence of *work units* (leaf self/cross
 joins, early-stopped subtree groups, grid cells, PBSM partitions) whose
-canonical order is fixed by the data and the configuration alone —
-PR 1's checkpoint layer already enumerates the tree and grid sequences,
-and :func:`repro.core.partitioned.pbsm_plan` fixes the partition order.
+canonical order is fixed by the data and the configuration alone: the
+tree task stream of :mod:`repro.core.frontier`, the cell sequence of
+:func:`repro.core.egrid.enumerate_egrid_tasks`, and the partition order
+of :func:`repro.core.partitioned.pbsm_plan`.
 
 :class:`JoinSpec` is the picklable recipe for one join.  Every process —
 the parent and each worker — independently materialises the *same*
@@ -27,15 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.csj import (
-    leaf_cross_delta,
-    leaf_self_delta,
-    node_group_delta,
-    packed_node_group_delta,
-    packed_pair_group_delta,
-    pair_group_delta,
-)
-from repro.core.egrid import cell_pair_delta, cell_self_delta
+from repro.core.csj import execute_tree_task
+from repro.core.egrid import cell_pair_delta, cell_self_delta, enumerate_egrid_tasks
 from repro.core.groups import GroupBuffer, apply_events
 from repro.core.partitioned import partition_delta, pbsm_plan
 from repro.core.results import JoinSink
@@ -43,7 +37,7 @@ from repro.errors import InvalidInputError, validate_eps, validate_points
 from repro.geometry.metrics import get_metric
 from repro.stats.counters import JoinStats
 
-__all__ = ["FAMILIES", "JoinSpec", "TaskState"]
+__all__ = ["FAMILIES", "JoinSpec", "TaskState", "validate_sharding"]
 
 #: algorithm name -> (family, compact)
 FAMILIES = {
@@ -55,6 +49,26 @@ FAMILIES = {
     "pbsm": ("pbsm", False),
     "pbsm-csj": ("pbsm", True),
 }
+
+
+def validate_sharding(shards, partitioner: str) -> tuple[Optional[int], str]:
+    """Checked ``(shards, partitioner)``: every sharded entry point calls this.
+
+    ``shards`` is ``None`` (unsharded) or an integer >= 1; the
+    partitioner name is case-insensitive.  Returns the normalised pair.
+    """
+    partitioner = str(partitioner).lower()
+    if shards is None:
+        return None, partitioner
+    if int(shards) != shards or shards < 1:
+        raise InvalidInputError(f"shards must be an integer >= 1, got {shards}")
+    from repro.shard.planner import PARTITIONERS  # deferred: cycle
+
+    if partitioner not in PARTITIONERS:
+        raise InvalidInputError(
+            f"unknown partitioner {partitioner!r}; known: {PARTITIONERS}"
+        )
+    return int(shards), partitioner
 
 
 @dataclass
@@ -75,7 +89,6 @@ class JoinSpec:
     bulk: Optional[str] = "str"
     metric: object = None
     partitions_per_axis: Optional[int] = None
-    engine: str = "vectorized"
     #: Absolute request deadline (``time.monotonic()`` timestamp) carried
     #: to every worker.  Execution-only: it never affects the task
     #: sequence or the output bytes, it only lets a worker refuse tasks
@@ -104,15 +117,12 @@ class JoinSpec:
     partitioner: str = "grid"
 
     def __post_init__(self) -> None:
-        from repro.core.frontier import resolve_engine  # deferred: heavy import
-
         if self.points is None and self.dataset_ref is not None:
             from repro.parallel.shm import attach_points
 
             self.points = attach_points(self.dataset_ref)
         self.points = validate_points(self.points)
         self.eps = validate_eps(self.eps)
-        self.engine = resolve_engine(self.engine)
         self.algorithm = str(self.algorithm).lower()
         if self.algorithm not in FAMILIES:
             raise InvalidInputError(
@@ -124,20 +134,9 @@ class JoinSpec:
         if self.algorithm == "ncsj":
             self.g = 0
         self.g = int(self.g)
-        if self.shards is not None:
-            if int(self.shards) != self.shards or self.shards < 1:
-                raise InvalidInputError(
-                    f"shards must be an integer >= 1, got {self.shards}"
-                )
-            self.shards = int(self.shards)
-            from repro.shard.planner import PARTITIONERS  # deferred: cycle
-
-            self.partitioner = str(self.partitioner).lower()
-            if self.partitioner not in PARTITIONERS:
-                raise InvalidInputError(
-                    f"unknown partitioner {self.partitioner!r}; "
-                    f"known: {PARTITIONERS}"
-                )
+        self.shards, self.partitioner = validate_sharding(
+            self.shards, self.partitioner
+        )
 
     @property
     def family(self) -> str:
@@ -216,7 +215,6 @@ class JoinSpec:
             self.bulk,
             get_metric(self.metric).name,
             repr(self.metric),
-            self.engine,
             self.partitions_per_axis,
             self.shards,
             self.partitioner if self.shards is not None else None,
@@ -305,7 +303,7 @@ class TaskState:
         if self.family == "tree":
             self.tree = None
             packed = None
-            if spec.packed_ref is not None and spec.engine == "vectorized":
+            if spec.packed_ref is not None:
                 # Zero-copy path: adopt the published packed arrays —
                 # no tree is ever built in this process.
                 from repro.parallel.shm import attach_packed
@@ -330,29 +328,30 @@ class TaskState:
                         max_entries=spec.max_entries,
                         bulk=spec.bulk,
                     )
-                if spec.engine == "vectorized":
-                    from repro.index.packed import pack_index
+                from repro.index.packed import pack_index
 
-                    packed = pack_index(self.tree)
-                    if (
-                        packed is not None
-                        and shared is not None
-                        and spec.dataset_ref is not None
-                        and spec.packed_ref is None
-                    ):
-                        # Publish once so workers can adopt instead of
-                        # rebuilding; must happen before the supervisor
-                        # pickles the spec (build_state precedes start).
-                        spec.packed_ref = shared.publish_packed(
-                            (
-                                spec.index,
-                                spec.max_entries,
-                                spec.bulk,
-                                repr(spec.metric),
-                            ),
-                            packed,
-                        )
+                packed = pack_index(self.tree)
+                if (
+                    packed is not None
+                    and shared is not None
+                    and spec.dataset_ref is not None
+                    and spec.packed_ref is None
+                ):
+                    # Publish once so workers can adopt instead of
+                    # rebuilding; must happen before the supervisor
+                    # pickles the spec (build_state precedes start).
+                    spec.packed_ref = shared.publish_packed(
+                        (
+                            spec.index,
+                            spec.max_entries,
+                            spec.bulk,
+                            repr(spec.metric),
+                        ),
+                        packed,
+                    )
             if packed is not None:
+                # Looked up on the module at call time, so a wrapper
+                # installed there (e.g. a timing span) sees every call.
                 from repro.core.frontier import enumerate_packed_task_ids
 
                 self.packed = packed
@@ -361,9 +360,9 @@ class TaskState:
                     packed, self.eps, self.compact
                 )
             else:
-                from repro.resilience.checkpoint import _enumerate_tree_tasks
+                from repro.core.frontier import iter_node_tasks
 
-                self.tasks = _enumerate_tree_tasks(self.tree, self.eps, self.compact)
+                self.tasks = list(iter_node_tasks(self.tree, self.eps, self.compact))
             if self.tree is not None:
                 self.index_name = type(self.tree).name
             else:
@@ -371,10 +370,8 @@ class TaskState:
 
                 self.index_name = get_index_class(spec.index).name
         elif self.family == "egrid":
-            from repro.resilience.checkpoint import _enumerate_egrid_tasks
-
             self.tree = None
-            self.tasks = _enumerate_egrid_tasks(spec.points, self.eps)
+            self.tasks = enumerate_egrid_tasks(spec.points, self.eps)
             self.index_name = "egrid"
         else:  # pbsm
             self.tree = None
@@ -417,49 +414,11 @@ class TaskState:
         retries) with identical results.
         """
         task = self.tasks[task_id]
-        kind = task[0]
         if self.family == "tree":
-            if self.task_mode == "packed":
-                packed = self.packed
-                if kind == "group":
-                    return (
-                        packed_node_group_delta(self.points, packed, task[1]),
-                        (0, 0, 1),
-                    )
-                if kind == "pgroup":
-                    return (
-                        packed_pair_group_delta(
-                            self.points, packed, task[1], task[2]
-                        ),
-                        (0, 0, 1),
-                    )
-                if kind == "self":
-                    events, dc = leaf_self_delta(
-                        self.points, self.metric, self.eps,
-                        packed.leaf_entry_ids(task[1]), self.g,
-                    )
-                    return events, (dc, 0, 0)
-                events, dc = leaf_cross_delta(
-                    self.points, self.metric, self.eps,
-                    packed.leaf_entry_ids(task[1]),
-                    packed.leaf_entry_ids(task[2]),
-                    self.g,
-                )
-                return events, (dc, 0, 0)
-            if kind == "group":
-                return node_group_delta(self.points, task[1]), (0, 0, 1)
-            if kind == "pgroup":
-                return pair_group_delta(self.points, task[1], task[2]), (0, 0, 1)
-            if kind == "self":
-                events, dc = leaf_self_delta(
-                    self.points, self.metric, self.eps, task[1].entry_ids, self.g
-                )
-                return events, (dc, 0, 0)
-            events, dc = leaf_cross_delta(
-                self.points, self.metric, self.eps,
-                task[1].entry_ids, task[2].entry_ids, self.g,
+            return execute_tree_task(
+                task, self.points, self.metric, self.eps, self.g, self.packed
             )
-            return events, (dc, 0, 0)
+        kind = task[0]
         if self.family == "egrid":
             if kind == "self":
                 events, dc, mbr, stops = cell_self_delta(

@@ -6,7 +6,8 @@ pairs, and (for the compact variants) early-stopped subtree groups, in
 the exact order the recursion of Figure 3 visits them.
 :class:`CheckpointedJoin` exploits that: it enumerates the work-unit
 sequence up front (a cheap pruned traversal — no distance computations),
-executes it unit by unit through the ordinary runners, and every
+executes it unit by unit through the shared task executor
+(:class:`~repro.parallel.tasks.TaskState`), and every
 ``cadence`` units writes a *checkpoint* to a journal file:
 
 ``(cursor, durable sink offset, counters, in-flight group window)``
@@ -39,7 +40,6 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from repro.core.egrid import _positive_neighbour_offsets, grid_cells
 from repro.core.groups import Group, GroupBuffer
 from repro.core.results import JoinResult
 from repro.errors import (
@@ -58,6 +58,7 @@ from repro.io.writer import width_for
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import span as trace_span
+from repro.parallel.tasks import FAMILIES, JoinSpec, validate_sharding
 from repro.resilience.budget import Budget
 from repro.resilience.sinks import DurableTextSink
 from repro.stats.counters import JoinStats
@@ -135,78 +136,6 @@ def read_journal(path: str) -> tuple[dict, Optional[dict]]:
 
 
 # ---------------------------------------------------------------------------
-# Work-unit enumeration (mirrors the runners' traversal order exactly)
-# ---------------------------------------------------------------------------
-
-def _enumerate_tree_tasks(tree, eps: float, compact: bool) -> list[tuple]:
-    """The deterministic leaf/group work-unit sequence of the tree join.
-
-    Mirrors ``_SSJRunner`` (``compact=False``) / ``_CSJRunner``
-    (``compact=True``) — same pruning, same early stops, same order — but
-    yields the units instead of executing them.  Traversal counters are
-    *not* charged here; checkpointed runs account leaf-level work only.
-    """
-    metric = tree.metric
-    tasks: list[tuple] = []
-
-    def visit(node) -> None:
-        if compact and node.diameter(metric) < eps:
-            tasks.append(("group", node))
-            return
-        if node.is_leaf:
-            tasks.append(("self", node))
-            return
-        children = node.children
-        for child in children:
-            visit(child)
-        for a in range(len(children)):
-            for b in range(a + 1, len(children)):
-                if children[a].min_dist(children[b], metric) < eps:
-                    visit_pair(children[a], children[b])
-
-    def visit_pair(n1, n2) -> None:
-        if compact and n1.union_diameter(n2, metric) < eps:
-            tasks.append(("pgroup", n1, n2))
-            return
-        if n1.is_leaf and n2.is_leaf:
-            tasks.append(("cross", n1, n2))
-            return
-        if n1.is_leaf:
-            for child in n2.children:
-                if n1.min_dist(child, metric) < eps:
-                    visit_pair(n1, child)
-            return
-        if n2.is_leaf:
-            for child in n1.children:
-                if child.min_dist(n2, metric) < eps:
-                    visit_pair(child, n2)
-            return
-        for c1 in n1.children:
-            for c2 in n2.children:
-                if c1.min_dist(c2, metric) < eps:
-                    visit_pair(c1, c2)
-
-    if tree.root is not None and tree.size > 1:
-        visit(tree.root)
-    return tasks
-
-
-def _enumerate_egrid_tasks(pts: np.ndarray, eps: float) -> list[tuple]:
-    """Cell work units in :func:`repro.core.egrid.egrid_join` order."""
-    cells = grid_cells(pts, eps)
-    offsets = _positive_neighbour_offsets(pts.shape[1])
-    tasks: list[tuple] = []
-    for key, ids in cells.items():
-        tasks.append(("self", ids))
-        for offset in offsets:
-            neighbour = tuple(k + o for k, o in zip(key, offset))
-            other = cells.get(neighbour)
-            if other is not None:
-                tasks.append(("cross", ids, other))
-    return tasks
-
-
-# ---------------------------------------------------------------------------
 # Group-window (de)serialization for resumable CSJ
 # ---------------------------------------------------------------------------
 
@@ -223,18 +152,6 @@ def _restore_window(buffer: GroupBuffer, state: list) -> None:
         buffer._window.append(
             Group(set(int(i) for i in ids), [float(x) for x in lo], [float(x) for x in hi])
         )
-
-
-_ALGORITHMS = {
-    # name -> (family, compact)
-    "ssj": ("tree", False),
-    "ncsj": ("tree", True),
-    "csj": ("tree", True),
-    "egrid": ("egrid", False),
-    "egrid-csj": ("egrid", True),
-    "pbsm": ("pbsm", False),
-    "pbsm-csj": ("pbsm", True),
-}
 
 
 class CheckpointedJoin:
@@ -281,7 +198,6 @@ class CheckpointedJoin:
         fault: object = None,
         supervisor_config: object = None,
         stats: Optional[JoinStats] = None,
-        engine: str = "vectorized",
         data_plane: str = "auto",
         shards: Optional[int] = None,
         partitioner: str = "grid",
@@ -289,10 +205,10 @@ class CheckpointedJoin:
         self.points = validate_points(points)
         self.eps = validate_eps(eps)
         algorithm = algorithm.lower()
-        if algorithm not in _ALGORITHMS:
+        if algorithm not in FAMILIES:
             raise InvalidInputError(
                 f"unknown or non-checkpointable algorithm {algorithm!r}; "
-                f"supported: {tuple(_ALGORITHMS)}"
+                f"supported: {tuple(FAMILIES)}"
             )
         if g < 0:
             raise InvalidInputError(f"window size g must be >= 0, got {g}")
@@ -313,34 +229,19 @@ class CheckpointedJoin:
         if workers is not None and workers < 0:
             raise InvalidInputError(f"workers must be >= 0, got {workers}")
         # Execution-only knobs: deliberately absent from the fingerprint,
-        # so a run checkpointed at one worker count (or engine) resumes
-        # at any other.
+        # so a run checkpointed at one worker count resumes at any other.
         self.workers = workers
         self.task_timeout = task_timeout
         self.fault = fault
         self.supervisor_config = supervisor_config
-        from repro.core.frontier import resolve_engine
-
-        self.engine = resolve_engine(engine)
-        # Like workers/engine: how workers obtain the dataset never
+        # Like workers: how workers obtain the dataset never
         # affects the task sequence, so a run checkpointed on one data
         # plane resumes on any other.
         self.data_plane = data_plane
         # Externally supplied stats are *observed* (progress heartbeats,
         # metrics) — the run still owns all mutation; pass a fresh one.
         self.stats = stats
-        if shards is not None:
-            from repro.shard.planner import PARTITIONERS
-
-            shards = int(shards)
-            if shards < 1:
-                raise InvalidInputError(f"shards must be >= 1, got {shards}")
-            if partitioner not in PARTITIONERS:
-                raise InvalidInputError(
-                    f"unknown partitioner {partitioner!r}; known: {PARTITIONERS}"
-                )
-        self.shards = shards
-        self.partitioner = partitioner
+        self.shards, self.partitioner = validate_sharding(shards, partitioner)
 
     # -- identity ----------------------------------------------------------
     def fingerprint(self) -> dict:
@@ -353,7 +254,7 @@ class CheckpointedJoin:
         excluded: a run checkpointed at ``workers=4`` must resume at
         ``workers=1`` (or vice versa) with a byte-identical tail.
         """
-        family, compact = _ALGORITHMS[self.algorithm]
+        family, compact = FAMILIES[self.algorithm]
         fp = {
             "n": int(self.points.shape[0]),
             "dim": int(self.points.shape[1]),
@@ -390,7 +291,7 @@ class CheckpointedJoin:
         """
         if self.shards is not None:
             return self._run_sharded(resume)
-        family, compact = _ALGORITHMS[self.algorithm]
+        family, compact = FAMILIES[self.algorithm]
         pts = self.points
         width = width_for(len(pts))
         stats = self.stats if self.stats is not None else JoinStats()
@@ -402,7 +303,6 @@ class CheckpointedJoin:
         sink = self.sink_wrapper(inner) if self.sink_wrapper is not None else inner
 
         from repro.parallel.shm import SharedDataset, resolve_data_plane
-        from repro.parallel.tasks import JoinSpec
 
         # The shared-memory plane only matters when a pool will run;
         # serial (resumable) execution keeps the in-process array.
@@ -425,7 +325,6 @@ class CheckpointedJoin:
             bulk=self.bulk,
             metric=self.metric,
             partitions_per_axis=self.partitions_per_axis,
-            engine=self.engine,
             data_plane=plane,
             dataset_ref=shared.ref if shared is not None else None,
         )
@@ -496,7 +395,7 @@ class CheckpointedJoin:
                         self._checkpoint(journal, inner, scheduler.merged, stats, buffer)
                         self._finalize_timing(stats, start, write_time_before)
                         exc.partial = JoinResult.from_sink(
-                            inner, eps=self.eps, algorithm=self._label(),
+                            inner, eps=self.eps, algorithm=spec.label(),
                             g=self.g if compact else None, index_name=index_name,
                         )
                         raise
@@ -518,7 +417,7 @@ class CheckpointedJoin:
                 self._checkpoint(journal, inner, safe, stats, buffer)
                 self._finalize_timing(stats, start, write_time_before)
                 exc.partial = JoinResult.from_sink(
-                    inner, eps=self.eps, algorithm=self._label(),
+                    inner, eps=self.eps, algorithm=spec.label(),
                     g=self.g if compact else None, index_name=index_name,
                 )
                 raise
@@ -544,7 +443,7 @@ class CheckpointedJoin:
         return JoinResult.from_sink(
             inner,
             eps=self.eps,
-            algorithm=self._label(),
+            algorithm=spec.label(),
             g=self.g if compact else None,
             index_name=index_name,
         )
@@ -563,7 +462,6 @@ class CheckpointedJoin:
         """
         from repro.core.results import CollectSink
         from repro.parallel.shm import SharedDataset, resolve_data_plane
-        from repro.parallel.tasks import JoinSpec
         from repro.shard.driver import (
             _work_report,
             replay_links,
@@ -571,7 +469,7 @@ class CheckpointedJoin:
             sorted_owned_links,
         )
 
-        family, compact = _ALGORITHMS[self.algorithm]
+        family, compact = FAMILIES[self.algorithm]
         pts = self.points
         width = width_for(len(pts))
         stats = self.stats if self.stats is not None else JoinStats()
@@ -602,7 +500,6 @@ class CheckpointedJoin:
             bulk=self.bulk,
             metric=self.metric,
             partitions_per_axis=self.partitions_per_axis,
-            engine=self.engine,
             data_plane=plane,
             dataset_ref=shared.ref if shared is not None else None,
             shards=self.shards,
@@ -633,7 +530,7 @@ class CheckpointedJoin:
             result = JoinResult.from_sink(
                 inner,
                 eps=self.eps,
-                algorithm=self._label(),
+                algorithm=spec.label(),
                 g=self.g if compact else None,
                 index_name=index_name,
             )
@@ -794,15 +691,6 @@ class CheckpointedJoin:
                 ) from exc
             raise
         return journal, 0, None
-
-    def _label(self) -> str:
-        if self.algorithm == "csj":
-            return f"csj({self.g})" if self.g else "ncsj"
-        if self.algorithm == "egrid-csj":
-            return f"egrid-csj({self.g})" if self.g else "egrid-ncsj"
-        if self.algorithm == "pbsm-csj":
-            return f"pbsm-csj({self.g})" if self.g else "pbsm-ncsj"
-        return self.algorithm
 
     def _pool_config(self):
         """The supervisor configuration for parallel execution."""

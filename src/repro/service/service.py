@@ -22,9 +22,8 @@ mechanisms compose:
   fails requests fast with :class:`~repro.errors.CircuitOpenError`
   instead of feeding a struggling dependency.
 * **Brownout ladder** — under queue pressure the service degrades in
-  steps rather than falling over: first it drops execution niceties
-  (straggler speculation and the vectorized engine's packing work —
-  never the output bytes, which are engine-independent); past
+  steps rather than falling over: first it drops straggler speculation
+  (an execution nicety — never the output bytes); past
   ``degrade_threshold`` occupancy, and for any admitted request that
   runs over its deadline or byte budget, it serves the paper's analytic
   estimator answer marked ``degraded=True``; only a full queue sheds.
@@ -61,7 +60,7 @@ from repro.io.writer import width_for
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
 from repro.parallel import parallel_join
-from repro.parallel.tasks import FAMILIES
+from repro.parallel.tasks import FAMILIES, validate_sharding
 from repro.resilience.budget import Budget
 from repro.service.breaker import CircuitBreaker
 from repro.service.cache import ResultCache
@@ -152,11 +151,6 @@ class ServiceConfig:
     workers: int = 1
     #: Per-task timeout for parallel requests (capped at deadline slack).
     task_timeout: Optional[float] = None
-    #: Engine under normal load, and under level-1 brownout.  Both
-    #: produce identical bytes; the brownout engine skips the vectorized
-    #: packing work to shed CPU and allocation pressure.
-    engine: str = "vectorized"
-    brownout_engine: str = "scalar"
     #: Queue occupancy in [0, 1] where level-1 brownout starts.
     brownout_threshold: float = 0.5
     #: Queue occupancy in [0, 1] where requests get estimator answers.
@@ -190,16 +184,9 @@ class ServiceConfig:
     partitioner: str = "grid"
 
     def __post_init__(self) -> None:
-        if self.shards is not None:
-            from repro.shard.planner import PARTITIONERS
-
-            if self.shards < 1:
-                raise ValueError(f"shards must be >= 1, got {self.shards}")
-            if self.partitioner not in PARTITIONERS:
-                raise ValueError(
-                    f"unknown partitioner {self.partitioner!r}; "
-                    f"known: {PARTITIONERS}"
-                )
+        self.shards, self.partitioner = validate_sharding(
+            self.shards, self.partitioner
+        )
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
         if self.executors < 1:
@@ -449,21 +436,15 @@ class JoinService:
         ):
             return self._degrade(request, occupancy, slack, JoinStats())
 
-        # Ladder rung 2: under moderate pressure drop the niceties —
-        # same bytes, cheaper execution.
-        engine = self.config.engine
+        # Ladder rung 2: under moderate pressure stop speculating on
+        # stragglers — same bytes, no duplicate work.
         workers = self.config.workers
-        speculate = True
-        if pressure >= self.config.brownout_threshold:
-            engine = self.config.brownout_engine
-            speculate = False
+        speculate = pressure < self.config.brownout_threshold
 
         try:
             if self.chaos is not None:
                 self.chaos.before_execute(request.request_id)
-            result = self._run_join(
-                request, budget, engine, workers, speculate
-            )
+            result = self._run_join(request, budget, workers, speculate)
             # Serial runs have no scheduler hook; report pool health here
             # so a half-open circuit can close again.
             self.pool_breaker.record_success()
@@ -554,15 +535,7 @@ class JoinService:
         from repro.index.packed import pack_index
         from repro.parallel.shm import SharedDataset
 
-        if shards is not None:
-            from repro.shard.planner import PARTITIONERS
-
-            if shards < 1:
-                raise ValueError(f"shards must be >= 1, got {shards}")
-            if partitioner not in PARTITIONERS:
-                raise ValueError(
-                    f"unknown partitioner {partitioner!r}; known: {PARTITIONERS}"
-                )
+        shards, partitioner = validate_sharding(shards, partitioner)
         shared = SharedDataset(
             points, metric=metric, data_plane=self.config.data_plane
         )
@@ -602,7 +575,6 @@ class JoinService:
         self,
         request: JoinRequest,
         budget: Budget,
-        engine: str,
         workers: int,
         speculate: bool,
     ) -> JoinResult:
@@ -639,7 +611,6 @@ class JoinService:
                 budget=budget,
                 workers=workers if workers > 1 else None,
                 config=config,
-                engine=engine,
                 data_plane=self.config.data_plane,
                 shared=registered if workers > 1 else None,
             )
@@ -663,7 +634,6 @@ class JoinService:
                 metric=request.metric,
                 budget=budget,
                 config=config,
-                engine=engine,
                 breaker=self.pool_breaker,
                 data_plane=self.config.data_plane,
                 shared=registered,
@@ -680,7 +650,6 @@ class JoinService:
                 index=registered.get_tree(metric=request.metric),
                 metric=request.metric,
                 budget=budget,
-                engine=engine,
             )
         return similarity_join(
             request.points,
@@ -689,7 +658,6 @@ class JoinService:
             g=request.g,
             metric=request.metric,
             budget=budget,
-            engine=engine,
         )
 
     def _degrade(

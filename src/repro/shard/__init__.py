@@ -11,7 +11,7 @@ Public surface:
 * :func:`~repro.shard.driver.sharded_join` /
   :class:`~repro.shard.driver.ShardedJoin` — the two-phase driver whose
   output is byte-identical across shard count, partitioner, worker
-  count, data plane, index and engine.
+  count, data plane and index.
 
 See DESIGN.md's "Sharding" section for the owner rule, the halo
 invariant and the fingerprint contract.

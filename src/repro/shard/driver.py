@@ -20,7 +20,7 @@ window for compact ones.
 The replay stream depends only on the *set* of qualifying pairs, which
 is exact for any plan.  Output bytes and all output-side counters are
 therefore **invariant across shard count, partitioner, worker count,
-data plane, index and engine** — the shard-parity battery proves
+data plane and index** — the shard-parity battery proves
 byte-identity over that whole matrix.  Work counters (distance
 computations, MBR checks, early stops) are inherently K-dependent —
 halo points are probed in more than one shard — and are reported
@@ -86,7 +86,6 @@ def sharded_join(
     task_timeout: Optional[float] = None,
     config: object = None,
     fault: object = None,
-    engine: str = "vectorized",
     data_plane: str = "auto",
     shared: object = None,
 ) -> JoinResult:
@@ -99,8 +98,8 @@ def sharded_join(
     pre-published :class:`~repro.parallel.shm.SharedDataset`.
 
     Guarantee: output bytes and canonical output counters are identical
-    for every ``(shards, partitioner, workers, data_plane, index,
-    engine)`` choice, and the implied pair set equals the unsharded
+    for every ``(shards, partitioner, workers, data_plane, index)``
+    choice, and the implied pair set equals the unsharded
     join's.
     """
     from repro.parallel.tasks import JoinSpec
@@ -143,7 +142,6 @@ def sharded_join(
             max_entries=max_entries,
             bulk=bulk,
             metric=metric,
-            engine=engine,
             deadline_at=deadline_at,
             data_plane=plane,
             dataset_ref=shared.ref if shared is not None else None,

@@ -94,7 +94,6 @@ class ShardTaskState:
                 bulk=spec.bulk,
                 metric=spec.metric,
                 partitions_per_axis=spec.partitions_per_axis,
-                engine=spec.engine,
             ).build_state()
             self.substates[s] = sub
             self.tasks.extend(("shard", s, t) for t in range(len(sub.tasks)))

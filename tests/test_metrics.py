@@ -116,6 +116,16 @@ class TestVectorised:
         v = rng.random(3) - 0.5
         assert metric.norm_seq(v.tolist()) == pytest.approx(metric.norm(v))
 
+    def test_batched_norm_bit_identical_to_single(self, metric, rng):
+        # Batched pruning and per-pair bounds must decide on the very
+        # same float, wherever a row sits in the batch.
+        diffs = rng.random((2000, 3)) * 10.0 - 5.0
+        batched = metric.norm_rows(diffs)
+        single = [metric.norm(row) for row in diffs]
+        assert batched.tobytes() == np.array(single).tobytes()
+        seq = [metric.norm_seq(row.tolist()) for row in diffs]
+        assert batched.tobytes() == np.array(seq).tobytes()
+
 
 class TestEquality:
     def test_same_name_equal(self):

@@ -175,3 +175,26 @@ class TestPlannerInvariants:
         tree = get_index_class("rstar")(sharded_dataset[:10])
         with pytest.raises(InvalidInputError):
             similarity_join(sharded_dataset[:10], 0.06, shards=2, index=tree)
+
+    @pytest.mark.parametrize("entry", ["similarity_join", "CheckpointedJoin"])
+    def test_entry_points_agree_on_shard_options(self, sharded_dataset, tmp_path, entry):
+        """Both entry points reject a fractional shard count and accept a
+        partitioner name in any case, with the same output."""
+        from repro.resilience.checkpoint import CheckpointedJoin
+
+        def run(partitioner, shards=2):
+            if entry == "similarity_join":
+                result = similarity_join(
+                    sharded_dataset, 0.06, shards=shards, partitioner=partitioner
+                )
+                return result.links, result.groups
+            out = tmp_path / f"{partitioner}.txt"
+            CheckpointedJoin(
+                sharded_dataset, 0.06, str(out), shards=shards,
+                partitioner=partitioner,
+            ).run()
+            return out.read_bytes()
+
+        with pytest.raises(InvalidInputError):
+            run("grid", shards=2.5)
+        assert run("Hilbert") == run("hilbert")
