@@ -12,7 +12,9 @@ path on each state:
 * ``checkpoint`` — :class:`CheckpointedJoin` resume must reproduce the
   uninterrupted run's output byte-for-byte from every state (falling
   back to a typed-and-detected fresh restart when the crash predates a
-  resumable journal);
+  resumable journal); one cell (``checkpoint/csj@shards2``) runs the
+  join over two shards, whose cursor counts the units of the sharded
+  replay;
 * ``atomic`` — :class:`AtomicTextSink`'s destination must hold the old
   content or the complete new output in every state, never a torn
   hybrid.
@@ -93,6 +95,14 @@ def main() -> int:
         run(f"checkpoint/csj@w{args.workers}", verify_checkpointed_join,
             points=pts, eps=args.eps, algorithm="csj",
             cadence=args.cadence, workers=args.workers)
+    # Sharded: the cursor counts units of the global-task-stream replay.
+    # The uniform points alone fill one leaf, which has no early stop at
+    # the default eps; a dense cluster beside them fills a leaf that
+    # stops early, so the replay puts a group between its owned links.
+    cluster = 1.5 + 0.02 * np.random.default_rng(args.seed + 1).random((64, 2))
+    run("checkpoint/csj@shards2", verify_checkpointed_join,
+        points=np.vstack([pts, cluster]), eps=args.eps, algorithm="csj",
+        cadence=args.cadence, shards=2)
     run("index-save/rstar", verify_index_save, points=pts)
 
     total_states = sum(r.states_verified for r in reports)

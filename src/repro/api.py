@@ -134,8 +134,9 @@ def similarity_join(
     canonical order; ``partitioner`` selects ``"grid"`` or ``"hilbert"``
     planning.  Sharded output bytes and canonical counters are identical
     for every shard count, partitioner and worker count, and the implied
-    pair set equals the unsharded join's.  ``shards=None`` (default)
-    keeps the classic unsharded execution.
+    pair set equals the unsharded join's; ``csj``/``ncsj`` output equals
+    the unsharded default-recipe join byte for byte.  ``shards=None``
+    (default) keeps the classic unsharded execution.
     """
     algorithm = algorithm.lower()
     if algorithm not in ALGORITHMS:

@@ -170,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="partition the dataset into K spatial shards with ε-margin "
         "boundary replication and join each shard independently; output "
-        "bytes are identical for every K (and to the unsharded run of "
-        "the same pipeline).  Omit stays unsharded",
+        "bytes are identical for every K, and for csj/ncsj to the "
+        "unsharded join with the default index.  Omit stays unsharded",
     )
     join.add_argument(
         "--partitioner",

@@ -316,6 +316,21 @@ class MetricsRegistry:
             "Max/mean shard working-set size of the last plan (1.0 = balanced)",
         ).set(skew_ratio)
 
+    def record_shard_work(self, work: dict) -> None:
+        """Count a sharded run's phase-1 work (``shard_report["work"]``).
+
+        Per-shard discovery probes halo points in more than one shard,
+        so this work depends on the plan; it is kept out of the
+        canonical ``repro_join_*`` counters (which read 0 distance
+        computations for a sharded run) and totalled here instead as
+        ``repro_shard_work_<name>_total``.
+        """
+        for name, value in work.items():
+            self.counter(
+                f"repro_shard_work_{name}_total",
+                f"Phase-1 {name.replace('_', ' ')} of sharded joins",
+            ).inc(value)
+
     def data_plane_event(self, kind: str, amount: Union[int, float] = 1) -> None:
         """Count one shared-memory data-plane event.
 

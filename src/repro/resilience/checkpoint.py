@@ -69,6 +69,10 @@ logger = get_logger("resilience.checkpoint")
 
 JOURNAL_VERSION = 1
 
+#: The ``replay`` fingerprint field of sharded runs: the unit order a
+#: journal's cursor counts in, keyed by whether the join is compact.
+SHARD_REPLAY_ORDER = {False: "owned-links-by-id", True: "global-csj-task-stream"}
+
 
 # ---------------------------------------------------------------------------
 # Journal records
@@ -267,12 +271,16 @@ class CheckpointedJoin:
         }
         if self.shards is not None:
             # A sharded run journals the canonical *replay* stream, whose
-            # bytes depend only on the qualifying-pair set and the window
-            # — never on the plan.  Shard count, partitioner, index and
-            # index tuning are therefore execution knobs here, excluded
-            # like ``workers``: a run checkpointed at one K resumes at
-            # any other K (or partitioner, or index) byte-identically.
+            # bytes depend only on the qualifying-pair set, the dataset
+            # and the window — never on the plan.  Shard count,
+            # partitioner, index and index tuning are therefore execution
+            # knobs here, excluded like ``workers``: a run checkpointed
+            # at one K resumes at any other K (or partitioner, or index)
+            # byte-identically.  ``replay`` names the unit order the
+            # cursor counts in, so a journal of another order is refused
+            # instead of resumed at the wrong position.
             fp["sharded"] = True
+            fp["replay"] = SHARD_REPLAY_ORDER[compact]
             return fp
         fp["index"] = self.index if family == "tree" else family
         fp["max_entries"] = int(self.max_entries) if family == "tree" else None
@@ -454,16 +462,19 @@ class CheckpointedJoin:
 
         Phase 1 (per-shard discovery) writes no output and is recomputed
         in full — idempotently — on every resume; the journal cursor
-        counts *replayed links*, so each checkpoint is taken against a
-        stream that is identical for every shard count.  That is what
+        counts *replay units* (links in ``(i, j)`` order for plain
+        joins, positions of the :class:`~repro.shard.driver.ReplayPlan`
+        for compact ones), so each checkpoint is taken against a stream
+        that is identical for every shard count.  That is what
         lets a run killed at ``shards=K`` resume at ``shards=K'`` with a
         byte-identical tail (the fingerprint deliberately omits the
         plan; see :meth:`fingerprint`).
         """
-        from repro.core.results import CollectSink
         from repro.parallel.shm import SharedDataset, resolve_data_plane
         from repro.shard.driver import (
-            _work_report,
+            OwnedLinkSink,
+            ReplayPlan,
+            record_work,
             replay_links,
             run_phase1,
             sorted_owned_links,
@@ -538,7 +549,7 @@ class CheckpointedJoin:
             return result
 
         window: Optional[GroupBuffer] = None
-        phase_sink = CollectSink(id_width=width)
+        phase_sink = OwnedLinkSink(id_width=width)
         phase_stats = phase_sink.stats
         replayed = cursor
         try:
@@ -553,15 +564,10 @@ class CheckpointedJoin:
                     config=self._pool_config() if parallel else None,
                     fault=self.fault,
                 )
-                report["work"] = _work_report(phase_stats)
+                report["work"] = record_work(phase_stats)
 
-                pairs = sorted_owned_links(phase_sink.links)
-                if cursor > len(pairs):
-                    raise CheckpointCorruptError(
-                        self.journal_path,
-                        f"cursor {cursor} beyond the {len(pairs)} replay "
-                        "units of this run",
-                    )
+                pairs = phase_sink.pairs()
+                plan = None
                 if compact:
                     window = GroupBuffer(
                         self.g,
@@ -571,8 +577,19 @@ class CheckpointedJoin:
                         stats=stats,
                         dim=pts.shape[1],
                     )
-                    if window_state is not None:
-                        _restore_window(window, window_state)
+                    plan = ReplayPlan(pairs, pts, window.metric, self.eps)
+                    units = len(plan)
+                else:
+                    pairs = sorted_owned_links(pairs)
+                    units = len(pairs)
+                if cursor > units:
+                    raise CheckpointCorruptError(
+                        self.journal_path,
+                        f"cursor {cursor} beyond the {units} replay "
+                        "units of this run",
+                    )
+                if window is not None and window_state is not None:
+                    _restore_window(window, window_state)
 
                 emitted_mark = stats.links_emitted + stats.groups_emitted
 
@@ -582,7 +599,7 @@ class CheckpointedJoin:
                     emitted = stats.links_emitted + stats.groups_emitted
                     if (
                         self.cadence
-                        and done < len(pairs)
+                        and done < units
                         and (
                             done % self.cadence == 0
                             or emitted - emitted_mark >= self.cadence
@@ -600,18 +617,18 @@ class CheckpointedJoin:
                     stats=stats,
                     start_cursor=cursor,
                     on_link_replayed=on_link_replayed,
+                    plan=plan,
                 )
                 if window is not None:
                     window.flush()
-                self._checkpoint(
-                    journal, inner, len(pairs), stats, window, final=True
-                )
+                self._checkpoint(journal, inner, units, stats, window, final=True)
             except (BudgetExceededError, PoisonTaskError) as exc:
                 # Phase-1 breaches checkpoint at the resume cursor (no
                 # output was produced there); replay breaches at the last
                 # fully replayed link.  Either way the run stays
                 # resumable — at any future shard count.
-                report.setdefault("work", _work_report(phase_stats))
+                if "work" not in report:
+                    report["work"] = record_work(phase_stats)
                 self._checkpoint(journal, inner, replayed, stats, window)
                 self._finalize_timing(stats, start, write_time_before)
                 exc.partial = result_from_sink()

@@ -318,13 +318,16 @@ def verify_checkpointed_join(
     workers: Optional[int] = None,
     max_states: Optional[int] = None,
     progress: Optional[Callable[[int, int], None]] = None,
+    shards: Optional[int] = None,
 ) -> CrashReport:
     """Crash-verify the checkpoint journal + durable sink protocol.
 
-    Runs a checkpointed join to completion under :class:`TraceFS`,
-    enumerates every post-crash disk state of the (output, journal)
-    pair, and for each state attempts ``resume=True`` — falling back to
-    a fresh run when the state is detected as unresumable via a typed
+    Runs a checkpointed join (sharded over ``shards`` shards when given,
+    so the journal cursor counts replay units) to completion under
+    :class:`TraceFS`, enumerates every post-crash disk state of the
+    (output, journal) pair, and for each state attempts ``resume=True``
+    — falling back to a fresh run when the state is detected as
+    unresumable via a typed
     :class:`CheckpointCorruptError` (e.g. the crash predates the first
     durable journal record).  Every state must end with output bytes
     identical to an uninterrupted run's.
@@ -334,12 +337,13 @@ def verify_checkpointed_join(
     workdir = os.path.abspath(workdir)
     out = os.path.join(workdir, "out.txt")
     journal = out + ".journal"
-    report = CrashReport(workload=f"checkpoint/{algorithm}")
+    label = f"checkpoint/{algorithm}" + (f"@shards{shards}" if shards else "")
+    report = CrashReport(workload=label)
 
     def job() -> "CheckpointedJoin":
         return CheckpointedJoin(
             points, eps, out, algorithm=algorithm, g=g, cadence=cadence,
-            journal_path=journal, workers=workers,
+            journal_path=journal, workers=workers, shards=shards,
         )
 
     # Reference: an uninterrupted traced run; its sandbox output is the

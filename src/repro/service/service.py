@@ -40,7 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -247,7 +247,8 @@ class JoinService:
         self._available = threading.Semaphore(0)
         self._closed = False
         self._seq = 0
-        #: Completed outcomes in completion order (audit trail).
+        #: Completed outcomes in completion order (audit trail), without
+        #: their ``result`` payloads.
         self.outcomes: list[RequestOutcome] = []
         #: Datasets registered for cross-request reuse (identity-matched).
         self._registered: list = []
@@ -721,7 +722,10 @@ class JoinService:
     # ------------------------------------------------------------------
     def _record(self, outcome: RequestOutcome, registry) -> None:
         # Caller holds the lock (submit) or takes it (executor loop).
-        self.outcomes.append(outcome)
+        # The audit entry drops the payload: the ticket holder owns the
+        # result, and keeping it here would grow memory with every
+        # request served.
+        self.outcomes.append(replace(outcome, result=None))
         registry.service_outcome(outcome.status)
         logger.info(
             "request finished",

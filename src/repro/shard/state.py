@@ -47,7 +47,8 @@ __all__ = ["DISCOVERY_VARIANT", "ShardTaskState"]
 #: sharded replay stream must carry each qualifying pair exactly once —
 #: the owner rule is the only de-duplication mechanism, by design — so
 #: discovery stays non-compact and the compact structure is built
-#: entirely by the driver's canonical CSJ(g) replay window.
+#: entirely by the driver's canonical replay (the global tree's
+#: early-stop groups plus the CSJ(g) window).
 DISCOVERY_VARIANT = {
     "csj": "ssj",
     "ncsj": "ssj",

@@ -39,7 +39,9 @@ def parity_check(tmp_path):
     * output files are **byte-identical** across every case;
     * the canonical output counters (links, groups, members, bytes,
       merges, pairs) are identical across every case;
-    * the implied pair set equals the classic *unsharded* join's.
+    * the implied pair set equals the classic *unsharded* join's;
+    * for ``csj``/``ncsj``, the file and those counters equal the
+      unsharded join's with the default index recipe.
 
     Returns the baseline :class:`~repro.core.results.JoinResult`.
     """
@@ -51,6 +53,7 @@ def parity_check(tmp_path):
         "links_emitted",
         "groups_emitted",
         "group_members_emitted",
+        "group_links_implied",
         "bytes_written",
         "merge_attempts",
         "merge_successes",
@@ -81,6 +84,18 @@ def parity_check(tmp_path):
         assert base.expanded_links() == plain.expanded_links(), (
             "sharded pipeline changed the implied pair set"
         )
+        if algorithm in ("csj", "ncsj"):
+            ref_path = tmp_path / "parity-unsharded.txt"
+            sink = TextSink(str(ref_path), id_width=width)
+            ref = similarity_join(
+                points, eps, algorithm=algorithm, g=g, metric=metric, sink=sink
+            )
+            sink.close()
+            assert filecmp.cmp(str(ref_path), str(base_path), shallow=False), (
+                "sharded compact output differs from the unsharded join"
+            )
+            for name in counter_names:
+                assert getattr(base.stats, name) == getattr(ref.stats, name), name
         for case_no, (k, partitioner, workers) in enumerate(cases):
             path = tmp_path / f"parity-{case_no}.txt"
             result = run_to_file(

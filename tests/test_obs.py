@@ -225,6 +225,16 @@ class TestMetrics:
         assert snap["repro_join_total_time_seconds_total"] == 2.0
         assert snap["repro_join_pairs_reported_total"] == 12
 
+    def test_record_shard_work(self):
+        reg = MetricsRegistry()
+        work = {"distance_computations": 70, "mbr_checks": 9, "early_stops": 0}
+        reg.record_shard_work(work)
+        reg.record_shard_work(work)
+        snap = reg.snapshot()
+        assert snap["repro_shard_work_distance_computations_total"] == 140
+        assert snap["repro_shard_work_mbr_checks_total"] == 18
+        assert snap["repro_shard_work_early_stops_total"] == 0
+
     def test_record_budget(self):
         from repro.resilience.budget import Budget
 

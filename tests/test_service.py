@@ -7,8 +7,10 @@ byte-identical admitted answers, and ``degraded=True`` estimator
 answers instead of failures.
 """
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -507,6 +509,25 @@ class TestOutcomePartition:
             svc.close()
         assert outcome.status == "failed"
         assert outcome.error is not None
+
+
+    def test_served_result_is_collectable_once_the_caller_drops_it(self, pts):
+        # The audit trail keeps status and timing only: the ticket holder
+        # owns the payload, so a long-lived service does not grow with
+        # every result it has served.
+        svc = _service()
+        try:
+            outcome = svc.submit(JoinRequest(points=pts, eps=0.05)).wait(10.0)
+        finally:
+            svc.close()
+        assert outcome.status == "admitted"
+        assert outcome.result.stats.links_emitted > 0
+        result = weakref.ref(outcome.result)
+        assert [o.result for o in svc.outcomes] == [None]
+        assert svc.counts()["admitted"] == 1
+        del outcome
+        gc.collect()
+        assert result() is None
 
 
 class TestOpenService:

@@ -27,11 +27,11 @@ import pytest
 
 from repro.api import similarity_join
 from repro.core.results import TextSink
-from repro.errors import PoisonTaskError
+from repro.errors import CheckpointCorruptError, PoisonTaskError
 from repro.io.writer import width_for
 from repro.parallel.shm import owned_segments
 from repro.resilience.chaos import FailurePlan, FlakySink, FlakyWorker
-from repro.resilience.checkpoint import CheckpointedJoin, read_journal
+from repro.resilience.checkpoint import CheckpointedJoin, _encode_record, read_journal
 from repro.shard import sharded_join
 
 EPS = 0.06
@@ -128,6 +128,38 @@ class TestCheckpointResumeAcrossK:
         for name in ("links_emitted", "groups_emitted", "bytes_written",
                      "merge_attempts", "merge_successes"):
             assert getattr(resumed.stats, name) == getattr(clean.stats, name)
+
+
+    def test_journal_of_the_id_order_replay_is_refused(self, sharded_dataset, tmp_path):
+        # Journals written before the compact replay walked the global
+        # task stream lack the ``replay`` field; their cursor counts
+        # links in (i, j) order, so resuming one would continue at the
+        # wrong position.  It must be refused with the typed error.
+        out = tmp_path / "out.txt"
+        journal = str(out) + ".journal"
+        wrapper = lambda inner: FlakySink(
+            inner, FailurePlan(fail_at=[40], max_failures=1)
+        )
+        with pytest.raises(OSError):
+            CheckpointedJoin(
+                sharded_dataset, EPS, output_path=str(out), algorithm="csj",
+                g=10, shards=4, cadence=8, sink_wrapper=wrapper,
+            ).run()
+        header, ckpt = read_journal(journal)
+        assert ckpt is not None
+        assert header["fingerprint"]["replay"] == "global-csj-task-stream"
+        old = dict(header["fingerprint"])
+        del old["replay"]
+        with open(journal, encoding="ascii") as handle:
+            lines = handle.readlines()
+        lines[0] = _encode_record(dict(header, fingerprint=old))
+        with open(journal, "w", encoding="ascii") as handle:
+            handle.writelines(lines)
+        with pytest.raises(CheckpointCorruptError, match="does not match"):
+            CheckpointedJoin(
+                sharded_dataset, EPS, output_path=str(out), algorithm="csj",
+                g=10, shards=2, cadence=8,
+            ).run(resume=True)
 
 
 class TestProcessDeath:
